@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .dac import Backbone, BackboneConfig, EpochRecord, evaluate
-from .errors import ConfigurationError
+from .errors import CheckpointError, ConfigurationError, IdxFormatError
 from .harness import (ExperimentConfig, class_statistics, emit_curves, emit_st_visuals,
                       load_dataset, read_config, read_run_csv, run_experiment)
 
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError) as err:
+    except (ConfigurationError, CheckpointError, IdxFormatError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -43,6 +43,13 @@ class BackboneConfig:
     input_size: int = 28
     input_channels: int = 1
 
+    def __post_init__(self):
+        if self.st_layer_count not in (0, 1, 2, 3):
+            raise ConfigurationError(f"st_layer_count must be 0..3, got {self.st_layer_count}")
+        if self.cluster_count < 2:
+            # the softmax head needs two columns
+            raise ConfigurationError(f"cluster_count must be >= 2, got {self.cluster_count}")
+
 
 class Backbone:
     """conv64/BN/relu -> pool/BN -> conv128/BN/relu -> pool/BN ->
@@ -54,9 +61,6 @@ class Backbone:
     """
 
     def __init__(self, config: BackboneConfig, seed: int = 0):
-        if config.st_layer_count not in (0, 1, 2, 3):
-            raise ConfigurationError(
-                f"st_layer_count must be 0..3, got {config.st_layer_count}")
         self.config = config
         self.seed = seed
         s, c = config.input_size, config.input_channels
@@ -174,6 +178,13 @@ class ThresholdSchedule:
     l0: float = 0.9
     rate: float = 0.0045
     lam: float = 0.0
+
+    def __post_init__(self):
+        # u0 == l0 is allowed: every pair is selected for one epoch. The check
+        # is on u0 and l0, since advanced() closes the band on purpose.
+        if self.u0 < self.l0:
+            raise ConfigurationError(f"upper threshold u0={self.u0} is below "
+                                     f"lower threshold l0={self.l0}")
 
     @property
     def u(self) -> float:

@@ -73,6 +73,10 @@ class ExperimentConfig:
     include_diagonal: bool = True
     synthetic_count: int = 1000     # dataset size when dataset=synthetic
 
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
+
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}

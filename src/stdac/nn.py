@@ -13,19 +13,21 @@ import zlib
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, grad_enabled
 
 # ---------------------------------------------------------------------------
 # parameters and initialization
 
 
 class Parameter(Tensor):
-    """A named trainable tensor; names are unique within a model."""
+    """A named trainable tensor; names are unique within a model. The data is
+    C-contiguous, so the optimizer can update it through a flat view."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name: str):
-        super().__init__(data, requires_grad=True, op="param")
+        super().__init__(np.ascontiguousarray(data, dtype=np.float64),
+                         requires_grad=True, op="param")
         self.name = name
 
 
@@ -88,13 +90,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
     hp, wp = xp.shape[1], xp.shape[2]
     ho, wo = hp - kh + 1, wp - kw + 1
 
-    cols = np.empty((n, ho, wo, kh, kw, c_in))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = xp[:, i:i + ho, j:j + wo, :]
-    cols2 = cols.reshape(n * ho * wo, kh * kw * c_in)
+    # im2col: rows are output pixels, columns run (i, j, c_in); the reshape
+    # of the strided window view is the one copy
+    cols2 = (np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+             .transpose(0, 1, 2, 4, 5, 3)
+             .reshape(n * ho * wo, kh * kw * c_in))
     wmat = kernel.data.reshape(kh * kw * c_in, c_out)
-    y = (cols2 @ wmat + bias.data).reshape(n, ho, wo, c_out)
+    y = cols2 @ wmat
+    y += bias.data
+    y = y.reshape(n, ho, wo, c_out)
 
     out = Tensor.result(y, "conv2d", (x, kernel, bias))
     if out.requires_grad:
@@ -121,33 +125,37 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
     (row-major scan), which keeps replays deterministic under ties."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d input must be NHWC, got {x.ndim} axes")
-    n, h, w, c = x.shape
+    h, w = x.shape[1:3]
     if h < size or w < size:
         raise ShapeError(f"maxpool2d needs spatial size >= {size}, got {h}x{w}")
     ho, wo = h // size, w // size
     hc, wc = ho * size, wo * size
+    # window offsets in row-major order; each strided view holds one offset
+    # of every window
+    offsets = [(i, j) for i in range(size) for j in range(size)]
 
-    windows = (x.data[:, :hc, :wc, :]
-               .reshape(n, ho, size, wo, size, c)
-               .transpose(0, 1, 3, 5, 2, 4)
-               .reshape(n, ho, wo, c, size * size))
-    arg = windows.argmax(axis=-1)           # first occurrence on ties
-    y = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    def view(a, i, j):
+        return a[:, i:hc:size, j:wc:size, :]
+
+    y = view(x.data, 0, 0).copy()
+    for i, j in offsets[1:]:
+        np.maximum(y, view(x.data, i, j), out=y)
 
     out = Tensor.result(y, "maxpool2d", (x,))
     if out.requires_grad:
         def bwd(g):
-            dwin = np.zeros_like(windows)
-            np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
-            dx_c = (dwin.reshape(n, ho, wo, c, size, size)
-                    .transpose(0, 1, 4, 2, 5, 3)
-                    .reshape(n, hc, wc, c))
-            if hc == h and wc == w:
-                x.accumulate_grad(dx_c)
-            else:
-                dx = np.zeros_like(x.data)
-                dx[:, :hc, :wc, :] = dx_c
-                x.accumulate_grad(dx)
+            # the window offsets cover dx but for the cropped rows and columns
+            dx = np.empty_like(x.data)
+            dx[:, hc:] = 0.0
+            dx[:, :, wc:] = 0.0
+            taken = np.zeros(y.shape, dtype=bool)
+            for i, j in offsets:
+                hit = view(x.data, i, j) == y
+                np.greater(hit, taken, out=hit)     # hit and not taken yet
+                taken |= hit
+                # g * False is -0.0 where g < 0; accumulate_grad adds it as +0.0
+                np.multiply(g, hit, out=view(dx, i, j))
+            x.accumulate_grad(dx)
         out._backward = bwd
     return out
 
@@ -195,38 +203,55 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"batch_norm channel axis is {x.shape[-1]}, "
                          f"gamma has {gamma.shape[0]}")
     axes = tuple(range(x.ndim - 1))
+    m = x.size // x.shape[-1]
     if train:
         if x.shape[0] < 2:
             raise ShapeError("batch_norm train mode needs batch size >= 2 "
                              "(variance undefined for a single sample)")
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xc = x.data - mu
+        # np.var's own arithmetic; the squares' buffer then takes y
+        ybuf = np.square(xc)
+        var = ybuf.sum(axis=axes) / m
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
         mu, var = running_mean, running_var
+        xc = x.data - mu
+        # eval backward reads xhat only for gamma's gradient; else y overwrites it
+        ybuf = None if gamma.requires_grad and grad_enabled() else xc
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    y = gamma.data * xhat + beta.data
+    xhat = xc
+    xhat *= inv_std
+    y = np.multiply(xhat, gamma.data, out=ybuf)
+    y += beta.data
     out = Tensor.result(y, "batch_norm", (x, gamma, beta))
     if out.requires_grad:
-        m = x.size // x.shape[-1]
-
         def bwd(g):
-            if gamma.requires_grad:
-                gamma.accumulate_grad((g * xhat).sum(axis=axes))
-            if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=axes))
-            if x.requires_grad:
-                if train:
-                    gsum = g.sum(axis=axes) / m
-                    gx = (g * xhat).sum(axis=axes) / m
-                    x.accumulate_grad(gamma.data * inv_std * (g - gsum - xhat * gx))
-                else:
-                    x.accumulate_grad(g * gamma.data * inv_std)
+            x_train = x.requires_grad and train
+            if gamma.requires_grad or x_train:
+                gxhat = g * xhat
+                gx = gxhat.sum(axis=axes)
+                if gamma.requires_grad:
+                    gamma.accumulate_grad(gx)
+            if beta.requires_grad or x_train:
+                gsum = g.sum(axis=axes)
+                if beta.requires_grad:
+                    beta.accumulate_grad(gsum)
+            if x_train:
+                # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std), in place
+                dx = g - gsum / m
+                dx -= np.multiply(xhat, gx / m, out=gxhat)
+                dx *= gamma.data * inv_std
+                del gxhat   # before accumulate_grad's copy, at a training step's memory peak
+                x.accumulate_grad(dx)
+            elif x.requires_grad:
+                dx = g * gamma.data
+                dx *= inv_std
+                x.accumulate_grad(dx)
         out._backward = bwd
     return out
 

@@ -33,6 +33,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """False inside `no_grad`: ops then record no graph."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` over the axes numpy broadcast to reach it from `shape`."""
     extra = grad.ndim - len(shape)
@@ -97,8 +102,12 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 has the bits of zeros + g (a -0.0 becomes +0.0) and the
+            # buffer takes the layout of data, without a zero-fill pass. The
+            # sum is a fresh array: add/sub hand one g to both parents.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -131,7 +140,8 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
         for node in reversed(topo):
-            if node.grad is not None and np.isnan(node.grad).any():
+            # max propagates NaN, so this finds one without a bool temporary
+            if node.grad is not None and node.grad.size and np.isnan(node.grad.max()):
                 raise GradientNaN(f"NaN gradient at node op={node.op!r} shape={node.shape}")
 
     # -- arithmetic -----------------------------------------------------------

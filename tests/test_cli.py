@@ -73,6 +73,25 @@ class TestEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_corrupt_checkpoint_is_error_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "garbage.stdac"
+        ckpt.write_bytes(b"not a checkpoint at all")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", "synthetic"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_corrupt_idx_is_error_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.stdac"
+        save_checkpoint(ckpt, Backbone(BackboneConfig(cluster_count=4)).state_dict())
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "train-images-idx3-ubyte").write_bytes(b"\x00\x00\x08\x03junk")
+        (data_dir / "train-labels-idx1-ubyte").write_bytes(b"\x00\x00\x08\x01junk")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", "mnist",
+                   "--data-dir", str(data_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestViz:
     def test_st_grid_and_stats_and_curves(self, tiny_config, tmp_path, capsys):

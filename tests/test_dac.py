@@ -33,6 +33,11 @@ class TestBackbone:
         with pytest.raises(ConfigurationError):
             Backbone(BackboneConfig(st_layer_count=count))
 
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_single_cluster_rejected_at_config(self, count):
+        with pytest.raises(ConfigurationError, match="cluster_count"):
+            BackboneConfig(cluster_count=count)
+
     def test_forward_rows_are_unit_norm_probabilities(self, rng):
         model = Backbone(BackboneConfig(st_layer_count=0, cluster_count=10))
         out = model(Tensor(rng.uniform(size=(4, 28, 28, 1))), train=True).data
@@ -256,6 +261,10 @@ class TestThresholdSchedule:
         for _ in range(100):
             sched = sched.advanced()
             assert not sched.stop
+
+    def test_inverted_band_rejected(self):
+        with pytest.raises(ConfigurationError, match="u0"):
+            ThresholdSchedule(u0=0.5, l0=0.9)
 
     def test_threshold_algebra(self):
         sched = ThresholdSchedule(u0=0.99, l0=0.9, rate=0.0045)

@@ -54,6 +54,13 @@ class TestConfigText:
                                scale_min=0.85, subset=500, use_test_split=True)
         assert config_from_text(config_to_text(cfg)) == cfg
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_no_repeats_rejected(self, repeats):
+        with pytest.raises(ConfigurationError, match="repeats"):
+            ExperimentConfig(repeats=repeats)
+        with pytest.raises(ConfigurationError, match="repeats"):
+            config_from_text(f"repeats={repeats}\n")
+
     def test_comments_and_blanks_ignored(self):
         cfg = config_from_text("# a comment\n\nseed=9\n  \nname=x\n")
         assert cfg.seed == 9 and cfg.name == "x"
