@@ -20,12 +20,10 @@ import numpy as np
 from .dataio import AugmentConfig, augment_batch, batch_iterator
 from .errors import ConfigurationError, NoSelectedPairs
 from .metrics import ari, clustering_accuracy, nmi
-from .nn import BatchNorm, Conv2d, Dense, MaxPool, Parameter, softmax_rows, l2_normalize_rows
+from .nn import BatchNorm, Conv2d, Dense, MaxPool, Module, softmax_rows, l2_normalize_rows
 from .optim import Adam
-from .stn import SpatialTransformer, identity_theta
+from .stn import SpatialTransformer
 from .tensor import Tensor, no_grad
-
-IDENTITY_THETA = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +49,23 @@ class BackboneConfig:
             raise ConfigurationError(f"cluster_count must be >= 2, got {self.cluster_count}")
 
 
-class Backbone:
+class Backbone(Module):
     """conv64/BN/relu -> pool/BN -> conv128/BN/relu -> pool/BN ->
     conv256/BN/relu -> pool/BN -> dense3096/BN/relu -> dense k/BN/relu ->
     softmax -> row L2 norm, with optional ST layers interleaved.
 
     Parameter names depend only on the layer, not on which ST layers exist,
     so two configs sharing a layer initialize it identically from one seed.
+    force_identity_theta=True samples every ST layer with the identity theta.
     """
 
     def __init__(self, config: BackboneConfig, seed: int = 0):
         self.config = config
         self.seed = seed
         s, c = config.input_size, config.input_channels
-        s1, s2, s3 = s // 2, s // 4, s // 8
+        s2, s3 = s // 4, s // 8
 
+        # the assignment order below is the order of the checkpoint records
         self.st1 = SpatialTransformer(s, c, "st1", seed) if config.st_layer_count >= 1 else None
         self.st2 = SpatialTransformer(s2, 128, "st2", seed) if config.st_layer_count >= 2 else None
         self.st3 = SpatialTransformer(s3, 256, "st3", seed) if config.st_layer_count >= 3 else None
@@ -85,79 +85,33 @@ class Backbone:
         self.head = Dense(3096, config.cluster_count, "head/dense", seed)
         self.head_bn = BatchNorm(config.cluster_count, "head/bn")
 
-    def _modules(self):
-        mods = [m for m in (self.st1, self.st2, self.st3) if m is not None]
-        mods += [self.conv1, self.bn1, self.bnp1, self.conv2, self.bn2, self.bnp2,
-                 self.conv3, self.bn3, self.bnp3, self.fc, self.fc_bn,
-                 self.head, self.head_bn]
-        return mods
-
-    def params(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for m in self._modules():
-            out.extend(m.params())
-        return out
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = []
-        for m in self._modules():
-            if hasattr(m, "buffers"):
-                out.extend(m.buffers())
-        return out
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        state = {p.name: p.data.copy() for p in self.params()}
-        for name, buf in self.buffers():
-            state[name] = buf.copy()
-        return state
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        from .errors import CheckpointError
-        own = {p.name: p for p in self.params()}
-        bufs = dict(self.buffers())
-        expected = set(own) | set(bufs)
-        if set(state) != expected:
-            missing = sorted(expected - set(state))
-            extra = sorted(set(state) - expected)
-            raise CheckpointError(f"state does not match model: missing {missing}, "
-                                  f"unexpected {extra}")
-        for name, arr in state.items():
-            target = own[name].data if name in own else bufs[name]
-            if target.shape != arr.shape:
-                raise CheckpointError(f"shape mismatch for {name!r}: "
-                                      f"model {target.shape}, checkpoint {arr.shape}")
-            target[...] = arr
-
     def __call__(self, x, train: bool = True, force_identity_theta: bool = False) -> Tensor:
         h = x if isinstance(x, Tensor) else Tensor(x)
-        ov = IDENTITY_THETA if force_identity_theta else None
         if self.st1 is not None:
-            h = self.st1(h, train, theta_override=ov)
+            h = self.st1(h, train, identity=force_identity_theta)
         h = self.bn1(self.conv1(h), train).relu()
         h = self.bnp1(self.pool(h), train)
         h = self.bn2(self.conv2(h), train).relu()
         h = self.bnp2(self.pool(h), train)
         if self.st2 is not None:
-            h = self.st2(h, train, theta_override=ov)
+            h = self.st2(h, train, identity=force_identity_theta)
         h = self.bn3(self.conv3(h), train).relu()
         h = self.bnp3(self.pool(h), train)
         if self.st3 is not None:
-            h = self.st3(h, train, theta_override=ov)
+            h = self.st3(h, train, identity=force_identity_theta)
         h = h.reshape((h.shape[0], -1))
         h = self.fc_bn(self.fc(h), train).relu()
         h = self.head_bn(self.head(h), train).relu()
         return l2_normalize_rows(softmax_rows(h))
 
 
-def predict_features(model: Backbone, images: np.ndarray, batch_size: int = 256,
-                     force_identity_theta: bool = False) -> np.ndarray:
+def predict_features(model: Backbone, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Label features for a full image array, eval mode, no graph."""
     chunks = []
     with no_grad():
         for start in range(0, len(images), batch_size):
             xb = Tensor(images[start:start + batch_size])
-            chunks.append(model(xb, train=False,
-                                force_identity_theta=force_identity_theta).data)
+            chunks.append(model(xb, train=False).data)
     return np.concatenate(chunks, axis=0)
 
 
@@ -282,8 +236,7 @@ def train_epoch(model: Backbone, images: np.ndarray, schedule: ThresholdSchedule
     Batches whose pairs all fall in the exclusion band are skipped and
     counted; an epoch that skips everything raises NoSelectedPairs.
     """
-    aug_epoch = epoch if augment is None or augment.resample_per_epoch else 1
-    aug_rng = np.random.default_rng(np.random.SeedSequence((seed, aug_epoch, 2)))
+    aug_rng = np.random.default_rng(np.random.SeedSequence((seed, epoch, 2)))
     losses: list[float] = []
     selected = 0.0
     pairs = 0.0

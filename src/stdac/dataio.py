@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError, IdxFormatError, ShapeError
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
-
 
 @dataclass
 class ImageSet:
@@ -128,12 +125,10 @@ class AugmentConfig:
     """Per-image random affine jitter. rotation_degrees and
     translate_fraction are symmetric half-ranges (fraction of the normalized
     half-width); scale samples uniformly from scale_range, values above 1
-    widening the field of view. resample_per_epoch draws fresh transforms
-    each epoch; when off, the epoch-1 stream replays."""
+    widening the field of view."""
     rotation_degrees: float = 10.0
     translate_fraction: float = 0.1
     scale_range: tuple[float, float] = (0.9, 1.1)
-    resample_per_epoch: bool = True
 
     def __post_init__(self):
         lo, hi = self.scale_range

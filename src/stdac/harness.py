@@ -22,7 +22,6 @@ from .dac import (BackboneConfig, EpochRecord, ThresholdSchedule,
 from .dataio import AugmentConfig, ImageSet, load_idx, make_synthetic_glyphs
 from .checkpoint import save_checkpoint
 from .errors import ConfigurationError
-from .stn import identity_theta
 from .tensor import Tensor, no_grad
 
 VERSION_LINE = f"stdac {__version__}"
@@ -74,8 +73,13 @@ class ExperimentConfig:
     synthetic_count: int = 1000     # dataset size when dataset=synthetic
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
+        # train-mode batch norm needs a batch of two, and pairs need two images
+        minimums = {"repeats": 1, "max_epochs": 0, "subset": 0, "batch_size": 2}
+        if self.dataset == "synthetic":
+            minimums["synthetic_count"] = 2
+        for key, low in minimums.items():
+            if getattr(self, key) < low:
+                raise ConfigurationError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
@@ -336,19 +340,6 @@ def emit_curves(records_by_label: dict[str, list[EpochRecord]], out_dir) -> list
     return warnings
 
 
-def parse_svg_series(path) -> dict[str, tuple[list[float], list[float]]]:
-    """Recover the exact plotted values from a curves SVG."""
-    import re
-    text = Path(path).read_text()
-    out = {}
-    for m in re.finditer(r'<polyline class="series" data-label="([^"]*)" '
-                         r'data-x="([^"]*)" data-y="([^"]*)"', text):
-        label, dx, dy = m.groups()
-        out[label] = ([float(v) for v in dx.split()] if dx else [],
-                      [float(v) for v in dy.split()] if dy else [])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # PGM output
 
@@ -371,31 +362,6 @@ def write_pgm(path, image: np.ndarray, comment: str = "") -> None:
         f.write(data.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Inverse of write_pgm, back to floats in [0,1]."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    parts = []
-    pos = 0
-    while len(parts) < 4:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            pos = blob.index(b"\n", pos) + 1
-            continue
-        end = pos
-        while end < len(blob) and not blob[end:end + 1].isspace():
-            end += 1
-        parts.append(blob[pos:end])
-        pos = end
-    if parts[0] != b"P5":
-        raise ConfigurationError(f"{path}: not a binary PGM")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    pos += 1
-    data = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=w * h)
-    return data.reshape(h, w).astype(np.float64) / maxval
-
-
 def _grid(images: list[np.ndarray], rows: int, cols: int, pad: int = 2) -> np.ndarray:
     """Tile equally-sized grayscale images row-major with white separators."""
     h, w = images[0].shape
@@ -413,8 +379,7 @@ def first_st_outputs(model, images: np.ndarray,
         raise ConfigurationError("model has no spatial transformer layers; "
                                  "nothing to visualize")
     with no_grad():
-        ov = identity_theta(len(images)) if force_identity_theta else None
-        return model.st1(Tensor(images), train=False, theta_override=ov).data
+        return model.st1(Tensor(images), train=False, identity=force_identity_theta).data
 
 
 def emit_st_visuals(model, images: np.ndarray, path,

@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import CheckpointError, ConfigurationError, ShapeError
 from .tensor import Tensor, grad_enabled
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,51 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 # layer objects (thin state holders over the functional ops)
 
 
-class Conv2d:
+class Module:
+    """Base of every layer and model. Its `Parameter`s and child `Module`s are
+    found among its attributes, in assignment order; that order is the order
+    of `params()`, of `buffers()` and of the checkpoint records."""
+
+    def params(self) -> list[Parameter]:
+        out: list[Parameter] = []
+        for v in vars(self).values():
+            if isinstance(v, Parameter):
+                out.append(v)
+            elif isinstance(v, Module):
+                out.extend(v.params())
+        return out
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        """Named state that is not trained, such as BN running statistics."""
+        return [b for v in vars(self).values() if isinstance(v, Module)
+                for b in v.buffers()]
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Copies of every parameter, then every buffer, by name."""
+        state = {p.name: p.data.copy() for p in self.params()}
+        for name, buf in self.buffers():
+            state[name] = buf.copy()
+        return state
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy `state` into the model in place; its names and shapes must
+        match the model's exactly."""
+        own = {p.name: p.data for p in self.params()}
+        own.update(self.buffers())
+        if set(state) != set(own):
+            missing = sorted(set(own) - set(state))
+            extra = sorted(set(state) - set(own))
+            raise CheckpointError(f"state does not match model: missing {missing}, "
+                                  f"unexpected {extra}")
+        for name, arr in state.items():
+            target = own[name]
+            if target.shape != arr.shape:
+                raise CheckpointError(f"shape mismatch for {name!r}: "
+                                      f"model {target.shape}, checkpoint {arr.shape}")
+            target[...] = arr
+
+
+class Conv2d(Module):
     def __init__(self, kh: int, kw: int, c_in: int, c_out: int, name: str,
                  seed: int, padding: str = "same", init: str = "he"):
         rng = param_rng(seed, name)
@@ -274,14 +318,11 @@ class Conv2d:
         self.bias = Parameter(np.zeros(c_out), f"{name}/bias")
         self.padding = padding
 
-    def params(self) -> list[Parameter]:
-        return [self.kernel, self.bias]
-
     def __call__(self, x: Tensor, train: bool = True) -> Tensor:
         return conv2d(x, self.kernel, self.bias, self.padding)
 
 
-class Dense:
+class Dense(Module):
     def __init__(self, d_in: int, d_out: int, name: str, seed: int, init: str = "he"):
         rng = param_rng(seed, name)
         if init == "he":
@@ -291,14 +332,11 @@ class Dense:
         self.weight = Parameter(w, f"{name}/weight")
         self.bias = Parameter(np.zeros(d_out), f"{name}/bias")
 
-    def params(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
     def __call__(self, x: Tensor, train: bool = True) -> Tensor:
         return dense(x, self.weight, self.bias)
 
 
-class BatchNorm:
+class BatchNorm(Module):
     """Learned scale/shift plus running statistics for eval mode."""
 
     def __init__(self, channels: int, name: str, eps: float = 1e-5, momentum: float = 0.9):
@@ -310,9 +348,6 @@ class BatchNorm:
         self.momentum = momentum
         self.name = name
 
-    def params(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
-
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         return [(f"{self.name}/running_mean", self.running_mean),
                 (f"{self.name}/running_var", self.running_var)]
@@ -322,12 +357,9 @@ class BatchNorm:
                           self.running_var, train, self.eps, self.momentum)
 
 
-class MaxPool:
+class MaxPool(Module):
     def __init__(self, size: int = 2):
         self.size = size
-
-    def params(self) -> list[Parameter]:
-        return []
 
     def __call__(self, x: Tensor, train: bool = True) -> Tensor:
         return maxpool2d(x, self.size)

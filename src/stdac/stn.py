@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .nn import Conv2d, Dense, MaxPool, Parameter
+from .nn import Conv2d, Dense, MaxPool, Module
 from .tensor import Tensor
 
 
@@ -25,18 +25,6 @@ def identity_theta(n: int) -> np.ndarray:
     t[:, 0, 0] = 1.0
     t[:, 1, 1] = 1.0
     return t
-
-
-def compose_theta(first, second) -> np.ndarray:
-    """theta of the single warp equivalent to sampling with `first`, then
-    sampling that output with `second` (matrix product in homogeneous form)."""
-    def hom(t):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros(t.shape[:-2] + (3, 3))
-        out[..., :2, :] = t
-        out[..., 2, 2] = 1.0
-        return out
-    return (hom(first) @ hom(second))[..., :2, :]
 
 
 def affine_grid(theta: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -165,7 +153,7 @@ def _near_identity_head(d_in: int, name: str, seed: int) -> Dense:
     return head
 
 
-class LocalizationNet:
+class LocalizationNet(Module):
     """Conv localization network regressing 6 affine parameters.
 
     Stack: maxpool 2x2 -> conv 5x5x20 tanh -> maxpool 2x2 -> conv 5x5x20 tanh
@@ -186,13 +174,6 @@ class LocalizationNet:
         self.dense1 = Dense(c2 * c2 * 20, 50, f"{name}/dense1", seed, init="glorot")
         self.head = _near_identity_head(50, f"{name}/theta", seed)
 
-    def params(self) -> list[Parameter]:
-        return (self.conv1.params() + self.conv2.params()
-                + self.dense1.params() + self.head.params())
-
-    def buffers(self):
-        return []
-
     def __call__(self, x: Tensor, train: bool = True) -> Tensor:
         h = self.conv1(self.pool(x)).tanh()
         h = self.conv2(self.pool(h)).tanh()
@@ -201,7 +182,7 @@ class LocalizationNet:
         return self.head(h).tanh()
 
 
-class DenseLocalizationNet:
+class DenseLocalizationNet(Module):
     """Fallback for maps smaller than the conv stack minimum: flatten ->
     dense 50 tanh -> dense 6 tanh, same near-identity head."""
 
@@ -210,59 +191,39 @@ class DenseLocalizationNet:
                             init="glorot")
         self.head = _near_identity_head(50, f"{name}/theta", seed)
 
-    def params(self) -> list[Parameter]:
-        return self.dense1.params() + self.head.params()
-
-    def buffers(self):
-        return []
-
     def __call__(self, x: Tensor, train: bool = True) -> Tensor:
         h = x.reshape((x.shape[0], -1))
         h = self.dense1(h).tanh()
         return self.head(h).tanh()
 
 
-def build_localization_net(size: int, channels: int, name: str, seed: int,
-                           allow_dense_fallback: bool = False):
-    """Conv localization net when the input is large enough; optionally the
-    dense fallback for smaller maps."""
+def build_localization_net(size: int, channels: int, name: str, seed: int):
+    """Conv localization net when the input is large enough, else the dense
+    fallback."""
     if _conv_stack_sizes(size)[3] >= 1:
         return LocalizationNet(size, channels, name, seed)
-    if allow_dense_fallback:
-        return DenseLocalizationNet(size, channels, name, seed)
-    return LocalizationNet(size, channels, name, seed)  # raises with the minimum
+    return DenseLocalizationNet(size, channels, name, seed)
 
 
-class SpatialTransformer:
+class SpatialTransformer(Module):
     """Resolution-preserving spatial transformer: predict theta from the
     input, build the sampling grid, resample the input."""
 
     def __init__(self, size: int, channels: int, name: str, seed: int):
         self.size = size
         self.channels = channels
-        self.locnet = build_localization_net(size, channels, f"{name}/loc", seed,
-                                             allow_dense_fallback=True)
-
-    def params(self) -> list[Parameter]:
-        return self.locnet.params()
-
-    def buffers(self):
-        return self.locnet.buffers()
+        self.locnet = build_localization_net(size, channels, f"{name}/loc", seed)
 
     def theta(self, x: Tensor, train: bool = True) -> Tensor:
         flat = self.locnet(x, train)
         return flat.reshape((flat.shape[0], 2, 3))
 
-    def __call__(self, x: Tensor, train: bool = True, theta_override=None) -> Tensor:
+    def __call__(self, x: Tensor, train: bool = True, identity: bool = False) -> Tensor:
+        """identity=True samples with the identity theta instead of the
+        predicted one, reproducing the input to rounding error."""
         if x.shape[1] != self.size or x.shape[2] != self.size:
             raise ShapeError(f"spatial transformer built for {self.size}x{self.size}, "
                              f"got {x.shape[1]}x{x.shape[2]}")
-        if theta_override is None:
-            theta = self.theta(x, train)
-        elif isinstance(theta_override, Tensor):
-            theta = theta_override
-        else:
-            theta = Tensor(np.broadcast_to(np.asarray(theta_override, dtype=np.float64),
-                                           (x.shape[0], 2, 3)).copy())
+        theta = Tensor(identity_theta(x.shape[0])) if identity else self.theta(x, train)
         grid = affine_grid(theta, x.shape[1], x.shape[2])
         return bilinear_sample(x, grid)

