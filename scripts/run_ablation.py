@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from stdac.harness import ExperimentConfig, config_from_text, run_ablation
+from stdac.harness import ExperimentConfig, read_config, run_ablation
 
 
 def parse_args(argv=None):
@@ -39,10 +39,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.config:
-        cfg = config_from_text(Path(args.config).read_text())
-    else:
-        cfg = ExperimentConfig()
+    cfg = read_config(args.config) if args.config else ExperimentConfig()
     overrides = {k: getattr(args, k) for k in
                  ("name", "dataset", "data_dir", "out_dir", "seed", "repeats",
                   "max_epochs", "subset", "synthetic_count")

@@ -14,6 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from stdac.cli import DATASET_DEFAULT_L0
 from stdac.harness import ExperimentConfig, run_experiment
 
 TARGET_ACC = 0.95
@@ -38,7 +39,7 @@ def main(argv=None) -> int:
         name=args.name, dataset=args.dataset, data_dir=args.data_dir,
         st_layer_count=args.st_layer_count, repeats=args.repeats,
         seed=args.seed, out_dir=args.out_dir, use_test_split=True,
-        l0=0.8 if args.dataset == "fashion" else 0.9)
+        l0=DATASET_DEFAULT_L0.get(args.dataset, ExperimentConfig.l0))
 
     def progress(rec):
         print(f"epoch {rec.epoch}: loss {rec.loss:.4f} "

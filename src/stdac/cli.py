@@ -92,10 +92,8 @@ def cmd_viz(args) -> int:
         by_label = {}
         for path in csvs:
             _, rows = read_run_csv(path)
-            by_label[path.stem] = [
-                EpochRecord(int(r["epoch"]), r["loss"], r["selected_fraction"],
-                            r["acc"], r["nmi"], r["ari"], r["lam"], r["u"], r["l"])
-                for r in rows]
+            by_label[path.stem] = [EpochRecord(**{**r, "epoch": int(r["epoch"])})
+                                   for r in rows]
         emit_curves(by_label, out_dir)
         print(f"wrote curves for {len(by_label)} run(s) to {out_dir}")
         return 0

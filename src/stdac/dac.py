@@ -230,7 +230,7 @@ class FitResult:
 def train_epoch(model: Backbone, images: np.ndarray, schedule: ThresholdSchedule,
                 optimizer: Adam, *, batch_size: int = 128, seed: int = 0,
                 epoch: int = 1, augment: AugmentConfig | None = None,
-                include_diagonal: bool = True, loss_eps: float = 1e-7) -> EpochStats:
+                include_diagonal: bool = True) -> EpochStats:
     """One pass over shuffled (optionally augmented) minibatches.
 
     Batches whose pairs all fall in the exclusion band are skipped and
@@ -252,7 +252,7 @@ def train_epoch(model: Backbone, images: np.ndarray, schedule: ThresholdSchedule
         if v.sum() == 0:
             skipped += 1
             continue
-        loss = dac_loss(sim, r, v, loss_eps)
+        loss = dac_loss(sim, r, v)
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()
@@ -289,7 +289,6 @@ class TrainSettings:
     adam_eps: float = 1e-8
     augment: AugmentConfig | None = field(default_factory=AugmentConfig)
     include_diagonal: bool = True
-    eval_batch_size: int = 256
 
 
 def fit(settings: TrainSettings, images: np.ndarray,
@@ -310,18 +309,12 @@ def fit(settings: TrainSettings, images: np.ndarray,
     best_acc = float("-inf")
     best_epoch = 0
 
-    if settings.max_epochs == 0:
-        a, m, r = evaluate(model, images, labels, settings.eval_batch_size)
-        records.append(EpochRecord(0, float("nan"), float("nan"), a, m, r,
-                                   sched.lam, sched.u, sched.l))
-        return FitResult(model, records, model.state_dict(), a, 0)
-
     for epoch in range(1, settings.max_epochs + 1):
         stats = train_epoch(model, images, sched, opt,
                             batch_size=settings.batch_size, seed=settings.seed,
                             epoch=epoch, augment=settings.augment,
                             include_diagonal=settings.include_diagonal)
-        acc, nmi_v, ari_v = evaluate(model, images, labels, settings.eval_batch_size)
+        acc, nmi_v, ari_v = evaluate(model, images, labels)
         records.append(EpochRecord(epoch, stats.loss, stats.selected_fraction,
                                    acc, nmi_v, ari_v, sched.lam, sched.u, sched.l))
         if progress is not None:
@@ -334,8 +327,12 @@ def fit(settings: TrainSettings, images: np.ndarray,
         if sched.stop:
             break
 
+    if not records:
+        acc, nmi_v, ari_v = evaluate(model, images, labels)
+        records.append(EpochRecord(0, float("nan"), float("nan"), acc, nmi_v,
+                                   ari_v, sched.lam, sched.u, sched.l))
     if best_state is None:
         best_state = model.state_dict()
-        best_epoch = records[-1].epoch if records else 0
-        best_acc = records[-1].acc if records else float("nan")
+        best_epoch = records[-1].epoch
+        best_acc = records[-1].acc
     return FitResult(model, records, best_state, best_acc, best_epoch)

@@ -208,7 +208,7 @@ def _glyph_prototypes(classes: int, cells: int, rng: np.random.Generator) -> np.
     return np.stack(protos)
 
 
-def make_synthetic_glyphs(n: int, seed: int = 0, size: int = 28, classes: int = 10,
+def make_synthetic_glyphs(n: int, seed: int = 0, classes: int = 10,
                           rotation: float = 20.0, translate: float = 0.12,
                           scale: tuple[float, float] = (0.85, 1.15)) -> ImageSet:
     """Labeled dataset of affinely jittered class glyphs.
@@ -217,9 +217,10 @@ def make_synthetic_glyphs(n: int, seed: int = 0, size: int = 28, classes: int = 
     each sample is that stamp under a random rotation/translation/scale,
     bilinearly resampled. Spatially normalizing the jitter away is exactly
     what a spatial transformer is for, so this corpus exercises the full
-    training loop when no real digit files are available.
+    training loop when no real digit files are available. Images are 28x28.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA119)))
+    size = 28
     cells = 7
     protos = _glyph_prototypes(classes, cells, rng)
     up = size // cells * cells

@@ -90,7 +90,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
-def config_from_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def config_from_text(text: str) -> ExperimentConfig:
     """Parse `key=value` lines (# comments and blanks ignored) into a config."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
@@ -115,10 +115,6 @@ def config_from_text(text: str, base: ExperimentConfig | None = None) -> Experim
             values[key] = _BOOL_WORDS[val.lower()]
         else:
             values[key] = val
-    if base is not None:
-        merged = {f.name: getattr(base, f.name) for f in fields(base)}
-        merged.update(values)
-        return ExperimentConfig(**merged)
     return ExperimentConfig(**values)
 
 
@@ -362,8 +358,10 @@ def write_pgm(path, image: np.ndarray, comment: str = "") -> None:
         f.write(data.tobytes())
 
 
-def _grid(images: list[np.ndarray], rows: int, cols: int, pad: int = 2) -> np.ndarray:
-    """Tile equally-sized grayscale images row-major with white separators."""
+def _grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
+    """Tile equally-sized grayscale images row-major with 2-pixel white
+    separators."""
+    pad = 2
     h, w = images[0].shape
     out = np.ones((rows * h + (rows - 1) * pad, cols * w + (cols - 1) * pad))
     for i, img in enumerate(images):
@@ -372,21 +370,19 @@ def _grid(images: list[np.ndarray], rows: int, cols: int, pad: int = 2) -> np.nd
     return out
 
 
-def first_st_outputs(model, images: np.ndarray,
-                     force_identity_theta: bool = False) -> np.ndarray:
+def first_st_outputs(model, images: np.ndarray) -> np.ndarray:
     """Eval-mode output of the model's first spatial transformer."""
     if getattr(model, "st1", None) is None:
         raise ConfigurationError("model has no spatial transformer layers; "
                                  "nothing to visualize")
     with no_grad():
-        return model.st1(Tensor(images), train=False, identity=force_identity_theta).data
+        return model.st1(Tensor(images), train=False).data
 
 
-def emit_st_visuals(model, images: np.ndarray, path,
-                    force_identity_theta: bool = False) -> np.ndarray:
+def emit_st_visuals(model, images: np.ndarray, path) -> np.ndarray:
     """Side-by-side grid (one row per image): original | first-ST output.
     Returns the pre-quantization grid."""
-    warped = first_st_outputs(model, images, force_identity_theta)
+    warped = first_st_outputs(model, images)
     tiles = []
     for orig, st in zip(images, warped):
         tiles += [orig[..., 0], np.clip(st[..., 0], 0.0, 1.0)]
@@ -396,10 +392,10 @@ def emit_st_visuals(model, images: np.ndarray, path,
 
 
 def class_statistics(images: np.ndarray, truth: np.ndarray, out_dir,
-                     model=None, prefix: str = "stats") -> dict[str, np.ndarray]:
+                     model=None) -> dict[str, np.ndarray]:
     """Per-class pixelwise mean / std / variance images, one column per class
     (population convention), for the originals and optionally the first-ST
-    outputs. Writes <prefix>_<stat>[_st].pgm files; returns the grids."""
+    outputs. Writes stats_<stat>[_st].pgm files; returns the grids."""
     if truth is None:
         raise ConfigurationError("class statistics need ground-truth labels")
     out_dir = Path(out_dir)
@@ -417,7 +413,7 @@ def class_statistics(images: np.ndarray, truth: np.ndarray, out_dir,
         grids = {}
         for stat, tiles in (("mean", means), ("std", stds), ("var", variances)):
             grid = _grid(tiles, rows=1, cols=len(classes))
-            name = f"{prefix}_{stat}{tag}.pgm"
+            name = f"stats_{stat}{tag}.pgm"
             write_pgm(out_dir / name, grid,
                       comment=f"per-class pixelwise {stat} (population convention); "
                               f"one column per class, {len(classes)} classes")

@@ -69,8 +69,6 @@ def nmi(pred, truth) -> float:
     b = table.sum(axis=0)
     hp = -sum(x / n * math.log(x / n) for x in a if x > 0)
     ht = -sum(x / n * math.log(x / n) for x in b if x > 0)
-    if hp == 0.0 and ht == 0.0:
-        return 1.0
     if hp == 0.0 or ht == 0.0:
         return 0.0
     mi = 0.0

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ShapeError
 from .nn import Conv2d, Dense, MaxPool, Module
 from .tensor import Tensor
 
@@ -128,81 +128,41 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
 THETA_BIAS = math.atanh(0.99)
 
 
-def _conv_stack_sizes(size: int) -> tuple[int, int, int, int]:
-    s1 = size // 2       # pool 2x2
-    c1 = s1 - 4          # conv 5x5 valid
-    s2 = c1 // 2         # pool 2x2
-    c2 = s2 - 4          # conv 5x5 valid
-    return s1, c1, s2, c2
-
-
-def locnet_min_size() -> int:
-    """Smallest input size the conv localization stack accepts."""
-    n = 2
-    while _conv_stack_sizes(n)[3] < 1:
-        n += 1
-    return n
-
-
-def _near_identity_head(d_in: int, name: str, seed: int) -> Dense:
-    """Final 6-unit dense layer initialized so tanh(output) is the near-identity
-    theta [[0.99, 0, 0], [0, 0.99, 0]] for every input."""
-    head = Dense(d_in, 6, name, seed)
-    head.weight.data[:] = 0.0
-    head.bias.data[[0, 4]] = THETA_BIAS
-    return head
-
-
 class LocalizationNet(Module):
-    """Conv localization network regressing 6 affine parameters.
+    """Localization network regressing 6 affine parameters.
 
     Stack: maxpool 2x2 -> conv 5x5x20 tanh -> maxpool 2x2 -> conv 5x5x20 tanh
-    -> dense 50 tanh -> dense 6 tanh.
+    -> dense 50 tanh -> dense 6 tanh. Maps too small for the conv stack
+    (under 28x28) skip it and flatten the input into dense 50. The theta head
+    starts at zero weight, so tanh of its output is the near-identity
+    [[0.99, 0, 0], [0, 0.99, 0]] for every input.
     """
 
     def __init__(self, size: int, channels: int, name: str, seed: int):
-        c2 = _conv_stack_sizes(size)[3]
-        if c2 < 1:
-            raise ConfigurationError(
-                f"localization net input {size}x{size} is too small: the "
-                f"pool/conv/pool/conv stack needs size >= {locnet_min_size()}")
-        self.pool = MaxPool(2)
-        self.conv1 = Conv2d(5, 5, channels, 20, f"{name}/conv1", seed,
-                            padding="valid", init="glorot")
-        self.conv2 = Conv2d(5, 5, 20, 20, f"{name}/conv2", seed,
-                            padding="valid", init="glorot")
-        self.dense1 = Dense(c2 * c2 * 20, 50, f"{name}/dense1", seed, init="glorot")
-        self.head = _near_identity_head(50, f"{name}/theta", seed)
+        c2 = (size // 2 - 4) // 2 - 4   # side after pool, conv 5x5, pool, conv 5x5
+        if c2 >= 1:
+            self.pool = MaxPool(2)
+            self.conv1 = Conv2d(5, 5, channels, 20, f"{name}/conv1", seed,
+                                padding="valid", init="glorot")
+            self.conv2 = Conv2d(5, 5, 20, 20, f"{name}/conv2", seed,
+                                padding="valid", init="glorot")
+            d_in = c2 * c2 * 20
+        else:
+            self.conv1 = self.conv2 = None
+            d_in = size * size * channels
+        self.dense1 = Dense(d_in, 50, f"{name}/dense1", seed, init="glorot")
+        self.head = Dense(50, 6, f"{name}/theta", seed)
+        self.head.weight.data[:] = 0.0
+        self.head.bias.data[[0, 4]] = THETA_BIAS
 
     def __call__(self, x: Tensor, train: bool = True) -> Tensor:
-        h = self.conv1(self.pool(x)).tanh()
-        h = self.conv2(self.pool(h)).tanh()
+        h = x
+        if self.conv1 is not None:
+            h = self.conv1(self.pool(h)).tanh()
+            h = self.conv2(self.pool(h)).tanh()
         h = h.reshape((h.shape[0], -1))
         h = self.dense1(h).tanh()
         return self.head(h).tanh()
-
-
-class DenseLocalizationNet(Module):
-    """Fallback for maps smaller than the conv stack minimum: flatten ->
-    dense 50 tanh -> dense 6 tanh, same near-identity head."""
-
-    def __init__(self, size: int, channels: int, name: str, seed: int):
-        self.dense1 = Dense(size * size * channels, 50, f"{name}/dense1", seed,
-                            init="glorot")
-        self.head = _near_identity_head(50, f"{name}/theta", seed)
-
-    def __call__(self, x: Tensor, train: bool = True) -> Tensor:
-        h = x.reshape((x.shape[0], -1))
-        h = self.dense1(h).tanh()
-        return self.head(h).tanh()
-
-
-def build_localization_net(size: int, channels: int, name: str, seed: int):
-    """Conv localization net when the input is large enough, else the dense
-    fallback."""
-    if _conv_stack_sizes(size)[3] >= 1:
-        return LocalizationNet(size, channels, name, seed)
-    return DenseLocalizationNet(size, channels, name, seed)
 
 
 class SpatialTransformer(Module):
@@ -212,7 +172,7 @@ class SpatialTransformer(Module):
     def __init__(self, size: int, channels: int, name: str, seed: int):
         self.size = size
         self.channels = channels
-        self.locnet = build_localization_net(size, channels, f"{name}/loc", seed)
+        self.locnet = LocalizationNet(size, channels, f"{name}/loc", seed)
 
     def theta(self, x: Tensor, train: bool = True) -> Tensor:
         flat = self.locnet(x, train)

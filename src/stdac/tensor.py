@@ -109,9 +109,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode sweep from a finite scalar; accumulates into .grad."""
         if self.size != 1:
@@ -260,10 +257,6 @@ class Tensor:
                 self.accumulate_grad(np.broadcast_to(g, self.shape).copy())
             out._backward = bwd
         return out
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- elementwise nonlinearities ---------------------------------------------
 

@@ -18,6 +18,7 @@ from stdac.harness import (
     emit_curves,
     emit_st_visuals,
     find_idx_pair,
+    first_st_outputs,
     fmt,
     load_dataset,
     read_run_csv,
@@ -84,12 +85,6 @@ class TestConfigText:
     def test_bad_boolean_rejected(self):
         with pytest.raises(ConfigurationError, match="maybe"):
             config_from_text("augment=maybe\n")
-
-    def test_base_merge_keeps_unmentioned_fields(self):
-        base = ExperimentConfig(name="base", seed=5, batch_size=64)
-        merged = config_from_text("seed=7\n", base=base)
-        assert merged.seed == 7
-        assert merged.name == "base" and merged.batch_size == 64
 
 
 class TestRunCsv:
@@ -199,12 +194,13 @@ class TestStVisuals:
     def test_identity_theta_matches_input_columns(self, rng, tmp_path):
         model = Backbone(BackboneConfig(st_layer_count=1, cluster_count=4), seed=0)
         images = rng.uniform(size=(3, 28, 28, 1))
-        grid = emit_st_visuals(model, images, tmp_path / "grid.pgm",
-                               force_identity_theta=True)
+        grid = emit_st_visuals(model, images, tmp_path / "grid.pgm")
         assert grid.shape == (3 * 28 + 2 * 2, 2 * 28 + 2)
-        left = grid[:, :28]
-        right = grid[:, 30:]
-        assert np.max(np.abs(left - right)) <= 1e-6
+        warped = np.clip(first_st_outputs(model, images)[..., 0], 0, 1)
+        for i in range(3):
+            rows = slice(i * 30, i * 30 + 28)
+            np.testing.assert_array_equal(grid[rows, :28], images[i, ..., 0])
+            np.testing.assert_array_equal(grid[rows, 30:], warped[i])
         on_disk = read_pgm(tmp_path / "grid.pgm")
         assert on_disk.shape == grid.shape
 

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from stdac.errors import ConfigurationError, ShapeError
+from stdac.errors import ShapeError
 from stdac.gradcheck import gradcheck
 from stdac.stn import (
     THETA_BIAS,
-    DenseLocalizationNet,
     LocalizationNet,
     SpatialTransformer,
     affine_grid,
     bilinear_sample,
-    build_localization_net,
     identity_theta,
-    locnet_min_size,
 )
 from stdac.tensor import Tensor
 
@@ -200,16 +197,19 @@ class TestComposeTheta:
 
 
 class TestLocalizationNet:
-    def test_minimum_size_matches_stack_arithmetic(self):
-        # smallest n with floor((floor(n/2) - 4) / 2) - 4 >= 1
-        n = 2
-        while (n // 2 - 4) // 2 - 4 < 1:
-            n += 1
-        assert locnet_min_size() == n == 28
-
-    def test_too_small_raises_naming_minimum(self):
-        with pytest.raises(ConfigurationError, match="28"):
-            LocalizationNet(7, 1, "st1/loc", 0)
+    # 28 is the smallest n with floor((floor(n/2) - 4) / 2) - 4 >= 1: pool,
+    # conv 5x5 valid, pool, conv 5x5 valid leave a 1x1 map
+    @pytest.mark.parametrize("size", [27, 28, 7, 3])
+    def test_conv_stack_exactly_from_28(self, size):
+        net = LocalizationNet(size, 3, "x", 0)
+        conv = ["x/conv1/kernel", "x/conv1/bias", "x/conv2/kernel", "x/conv2/bias"]
+        dense = ["x/dense1/weight", "x/dense1/bias", "x/theta/weight", "x/theta/bias"]
+        has_conv = size >= 28
+        assert (net.conv1 is not None) == has_conv
+        assert (net.conv2 is not None) == has_conv
+        assert [p.name for p in net.params()] == (conv if has_conv else []) + dense
+        # a 1x1x20 map leaves the conv stack; smaller inputs flatten directly
+        assert net.dense1.weight.shape == (20 if has_conv else size * size * 3, 50)
 
     def test_output_shape_and_range(self, rng):
         net = LocalizationNet(28, 1, "st1/loc", 0)
@@ -218,18 +218,13 @@ class TestLocalizationNet:
         assert np.all(np.abs(out) < 1.0)
 
     def test_near_identity_at_init(self, rng):
-        for net in (LocalizationNet(28, 1, "a", 0), DenseLocalizationNet(6, 2, "b", 0)):
-            size = 28 if isinstance(net, LocalizationNet) else 6
-            chans = 1 if isinstance(net, LocalizationNet) else 2
+        for size, chans in ((28, 1), (6, 2)):
+            net = LocalizationNet(size, chans, "a", 0)
             out = net(Tensor(rng.normal(size=(2, size, size, chans)))).data
             want = np.tile([np.tanh(THETA_BIAS), 0.0, 0.0, 0.0, np.tanh(THETA_BIAS), 0.0],
                            (2, 1))
             np.testing.assert_allclose(out, want, atol=1e-12)
             assert np.tanh(THETA_BIAS) == pytest.approx(0.99, abs=1e-12)
-
-    def test_fallback_selection(self):
-        assert isinstance(build_localization_net(28, 1, "x", 0), LocalizationNet)
-        assert isinstance(build_localization_net(7, 128, "x", 0), DenseLocalizationNet)
 
 
 class TestSpatialTransformer:
