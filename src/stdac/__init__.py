@@ -12,7 +12,7 @@ from .dac import (BackboneConfig, Backbone, FitResult, ThresholdSchedule,
                   generate_pair_labels, pairwise_similarity, predict_features)
 from .dataio import AugmentConfig, ImageSet, load_idx, make_synthetic_glyphs, save_idx
 from .errors import (CheckpointError, ConfigurationError, GradientNaN,
-                     IdxFormatError, NoSelectedPairs, ShapeError)
+                     GraphReleased, IdxFormatError, NoSelectedPairs, ShapeError)
 from .metrics import ari, clustering_accuracy, nmi
 from .tensor import Tensor, no_grad
 
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentConfig", "Backbone", "BackboneConfig", "CheckpointError",
-    "ConfigurationError", "FitResult", "GradientNaN", "IdxFormatError",
+    "ConfigurationError", "FitResult", "GradientNaN", "GraphReleased", "IdxFormatError",
     "ImageSet", "NoSelectedPairs", "ShapeError", "Tensor", "ThresholdSchedule",
     "TrainSettings", "ari", "cluster_assign", "clustering_accuracy", "dac_loss",
     "fit", "generate_pair_labels", "load_idx", "make_synthetic_glyphs", "nmi",

@@ -172,19 +172,22 @@ def generate_pair_labels(similarity: np.ndarray, schedule: ThresholdSchedule,
     return r, v
 
 
-def dac_loss(similarity: Tensor, r: np.ndarray, v: np.ndarray,
-             eps: float = 1e-7) -> Tensor:
+# the pair loss clamps similarities into [LOSS_EPS, 1 - LOSS_EPS] before the logs
+LOSS_EPS = 1e-7
+
+
+def dac_loss(similarity: Tensor, r: np.ndarray, v: np.ndarray) -> Tensor:
     """Binary pair loss averaged over selected pairs:
 
         mean over v=1 of  -r log g - (1 - r) log(1 - g)
 
-    with g clamped into [eps, 1-eps] before the logs.
+    with g clamped into [LOSS_EPS, 1 - LOSS_EPS] before the logs.
     """
     total = v.sum()
     if total == 0:
         raise NoSelectedPairs("no pair passed either threshold; widen the band "
                               "or adjust the schedule")
-    g = similarity.clamp(eps, 1.0 - eps)
+    g = similarity.clamp(LOSS_EPS, 1.0 - LOSS_EPS)
     per_pair = -(g.log() * r) - ((1.0 - g).log() * (1.0 - r))
     return (per_pair * v).sum() * (1.0 / total)
 
@@ -251,6 +254,8 @@ def train_epoch(model: Backbone, images: np.ndarray, schedule: ThresholdSchedule
         pairs += v.size
         if v.sum() == 0:
             skipped += 1
+            # no backward releases this graph, so drop it before the next forward
+            del feats, sim
             continue
         loss = dac_loss(sim, r, v)
         optimizer.zero_grad()

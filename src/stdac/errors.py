@@ -23,3 +23,7 @@ class NoSelectedPairs(RuntimeError):
 
 class GradientNaN(ArithmeticError):
     """A NaN appeared in a gradient buffer during backpropagation."""
+
+
+class GraphReleased(RuntimeError):
+    """A backward sweep reached a node that an earlier sweep already released."""

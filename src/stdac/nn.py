@@ -110,11 +110,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
                 bias.accumulate_grad(g2.sum(axis=0))
             if x.requires_grad:
                 dcols = (g2 @ wmat.T).reshape(n, ho, wo, kh, kw, c_in)
-                dxp = np.zeros_like(xp)
+                # col2im into the unpadded dx: offset (i, j) covers padded
+                # rows i..i+ho and columns j..j+wo, clipped to the crop at
+                # (pt, pl); each element gets its additions in (i, j) order
+                dx = np.zeros(x.shape)
                 for i in range(kh):
+                    r0, r1 = max(i, pt), min(i + ho, pt + h)
                     for j in range(kw):
-                        dxp[:, i:i + ho, j:j + wo, :] += dcols[:, :, :, i, j, :]
-                x.accumulate_grad(dxp[:, pt:pt + h, pl:pl + w, :])
+                        c0, c1 = max(j, pl), min(j + wo, pl + w)
+                        if r0 < r1 and c0 < c1:
+                            dx[:, r0 - pt:r1 - pt, c0 - pl:c1 - pl, :] += \
+                                dcols[:, r0 - i:r1 - i, c0 - j:c1 - j, i, j, :]
+                x.accumulate_grad(dx)
         out._backward = bwd
     return out
 
@@ -246,7 +253,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                 dx = g - gsum / m
                 dx -= np.multiply(xhat, gx / m, out=gxhat)
                 dx *= gamma.data * inv_std
-                del gxhat   # before accumulate_grad's copy, at a training step's memory peak
                 x.accumulate_grad(dx)
             elif x.requires_grad:
                 dx = g * gamma.data

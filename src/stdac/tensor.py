@@ -2,8 +2,11 @@
 
 A Tensor wraps a numpy array and records, for every operation, a closure
 that pushes the output gradient back to its parents. Calling ``backward()``
-on a scalar walks the graph once in reverse topological order. Gradients
-accumulate additively until cleared, so repeated backward calls sum.
+on a scalar walks the graph once in reverse topological order and releases
+each interior node as it passes it: the node's gradient, closure and parents
+go, so the closure's cached arrays die layer by layer. A second backward that
+reaches a released node raises `GraphReleased`. Leaf gradients accumulate
+additively until cleared, so backward calls on separate graphs sum there.
 
 Everything is float64 and single-threaded apart from BLAS matmul, whose
 reduction order is fixed for a given shape, keeping runs bit-reproducible.
@@ -16,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GradientNaN, ShapeError
+from .errors import GradientNaN, GraphReleased, ShapeError
 
 _grad_enabled = True
 
@@ -101,16 +104,24 @@ class Tensor:
     # -- gradient plumbing ---------------------------------------------------
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # g + 0.0 has the bits of zeros + g (a -0.0 becomes +0.0) and the
-            # buffer takes the layout of data, without a zero-fill pass. The
-            # sum is a fresh array: add/sub hand one g to both parents.
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
+        """Add `g` into .grad. A first write may adopt `g` itself as .grad, so
+        the caller must not change `g` afterwards, and a caller that passes
+        one `g` to two tensors hands the second a view, which is copied."""
+        if self.grad is not None:
             self.grad += g
+        elif (g.base is None and g.flags.writeable and g.dtype == self.data.dtype
+              and g.shape == self.data.shape and g.strides == self.data.strides):
+            # a fresh array: adopt it. g + 0.0 has the bits of zeros + g
+            # (a -0.0 becomes +0.0).
+            self.grad = np.add(g, 0.0, out=g)
+        else:
+            # a view, or another layout: the buffer takes the layout of data,
+            # which later reductions depend on
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a finite scalar; accumulates into .grad."""
+        """Reverse-mode sweep from a finite scalar; accumulates into the
+        leaves' .grad and releases every interior node it passes."""
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
         if not np.isfinite(self.data.reshape(-1)[0]):
@@ -126,6 +137,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise GraphReleased(f"node op={node.op!r} shape={node.shape} was already "
+                                    "swept by an earlier backward; rebuild the graph")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -133,13 +147,19 @@ class Tensor:
                     stack.append((p, False))
 
         self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-        for node in reversed(topo):
+        while topo:
+            # reverse topological order: a node's gradient is final here
+            node = topo.pop()
+            g = node.grad
             # max propagates NaN, so this finds one without a bool temporary
-            if node.grad is not None and node.grad.size and np.isnan(node.grad.max()):
+            if g is not None and g.size and np.isnan(g.max()):
                 raise GradientNaN(f"NaN gradient at node op={node.op!r} shape={node.shape}")
+            if node._parents:
+                # interior: the closure becomes the gradient's only owner
+                bwd = node._backward
+                node.grad = node._backward = node._parents = None
+                if bwd is not None:
+                    bwd(g)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -155,7 +175,8 @@ class Tensor:
                 if self.requires_grad:
                     self.accumulate_grad(_unbroadcast(g, self.shape))
                 if other.requires_grad:
-                    other.accumulate_grad(_unbroadcast(g, other.shape))
+                    # a view, so it is copied, not adopted a second time
+                    other.accumulate_grad(_unbroadcast(g.view(), other.shape))
             out._backward = bwd
         return out
 

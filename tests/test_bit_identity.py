@@ -137,6 +137,48 @@ class TestAccumulateGrad:
                 assert_same_bits(t.grad, t_ref.grad)
                 assert t.grad.strides == t_ref.grad.strides
 
+    def test_fresh_first_write_is_adopted(self, rng):
+        data = rng.normal(size=(4, 3))
+        # a -0.0 becomes +0.0, in the adopted array itself
+        g = np.where(data > 0, -0.0, data)
+        t, t_ref = Tensor(data), Tensor(data)
+        ref.accumulate_grad(t_ref, g.copy())
+        t.accumulate_grad(g)
+        assert t.grad is g
+        assert_same_bits(t.grad, t_ref.grad)
+        assert t.grad.strides == t_ref.grad.strides
+        assert not np.signbit(t.grad[data > 0]).any()
+
+    @pytest.mark.parametrize("kind", ["view", "transposed", "read-only"])
+    def test_other_first_writes_are_copied(self, kind, rng):
+        data = rng.normal(size=(4, 3))
+        g = {"view": lambda: rng.normal(size=(6, 3))[1:5],
+             "transposed": lambda: rng.normal(size=(3, 4)).T,
+             "read-only": lambda: np.broadcast_to(rng.normal(size=3), (4, 3))}[kind]()
+        t = Tensor(data)
+        t.accumulate_grad(g)
+        assert not np.shares_memory(t.grad, g)
+        assert t.grad.strides == data.strides
+        np.testing.assert_array_equal(t.grad, g)
+
+    @pytest.mark.parametrize("expr,want", [
+        (lambda a, b, c: a - b, (1.0, -1.0, 0.0)),
+        (lambda a, b, c: a + a, (2.0, 0.0, 0.0)),
+        (lambda a, b, c: a + c, (1.0, 0.0, 4.0)),
+        # b takes a pass-through gradient from two adds; a through an interior node
+        (lambda a, b, c: (a * 1.0 + b) + b, (1.0, 2.0, 0.0)),
+    ], ids=["sub", "self-add", "broadcast-add", "chained-add"])
+    def test_no_two_tensors_share_a_grad(self, expr, want):
+        a, b, c = (Tensor(np.ones(s), requires_grad=True) for s in [(4, 3), (4, 3), (3,)])
+        expr(a, b, c).sum().backward()
+        grads = [t.grad for t in (a, b, c) if t.grad is not None]
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+        for t, w in zip((a, b, c), want):
+            if w:
+                np.testing.assert_array_equal(t.grad, np.full(t.shape, w))
+
     def test_first_write_is_a_copy(self):
         # add and sub hand one gradient array to both parents
         a = Tensor(np.ones(2), requires_grad=True)

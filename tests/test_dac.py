@@ -1,6 +1,8 @@
 """Pairwise-clustering engine tests: backbone, labels, loss, schedule, fit."""
 
+import contextlib
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from stdac.dac import (
     train_epoch,
 )
 from stdac.dataio import AugmentConfig, make_synthetic_glyphs
-from stdac.errors import ConfigurationError, NoSelectedPairs
+from stdac.errors import ConfigurationError, GraphReleased, NoSelectedPairs
 from stdac.nn import Parameter
 from stdac.optim import Adam
 from stdac.tensor import Tensor, no_grad
@@ -377,3 +379,68 @@ class TestTrainingLoop:
         assert stats.selected_fraction == 1.0
         assert stats.skipped_batches == 0
         assert np.isfinite(stats.loss)
+
+
+def graph_nodes(root):
+    """Every node a backward sweep from `root` visits."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return list(seen.values())
+
+
+class TestGraphRelease:
+    def st3_loss(self):
+        images = make_synthetic_glyphs(4, seed=2, classes=4).images
+        model = Backbone(BackboneConfig(st_layer_count=3, cluster_count=4), seed=1)
+        sim = pairwise_similarity(model(Tensor(images), train=True))
+        r, v = generate_pair_labels(sim.data, ThresholdSchedule(u0=0.5, l0=0.5))
+        return model, dac_loss(sim, r, v)
+
+    def test_backward_releases_every_interior_node(self):
+        model, loss = self.st3_loss()
+        nodes = graph_nodes(loss)
+        params = model.params()
+        loss.backward()
+        interior = [n for n in nodes if not isinstance(n, Parameter)]
+        assert len(interior) > len(params)
+        for node in interior:
+            assert node.grad is None and node._backward is None and not node._parents, node
+        assert all(p.grad is not None for p in params)
+
+    def test_second_backward_raises(self):
+        _, loss = self.st3_loss()
+        loss.backward()
+        with pytest.raises(GraphReleased, match="already swept"):
+            loss.backward()
+
+
+class TestTrainEpochMemory:
+    """A batch's graph is gone before the next batch's forward, so a second
+    batch does not raise an epoch's peak."""
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["trained", "skipped"])
+    def test_two_batches_peak_like_one(self, skip):
+        images = make_synthetic_glyphs(64, seed=3).images
+        # u0 == l0 selects every pair; u0 = 2 and l0 = -1 select none
+        schedule = ThresholdSchedule(u0=2.0, l0=-1.0) if skip else \
+            ThresholdSchedule(u0=0.5, l0=0.5)
+
+        def peak(batches):
+            model = Backbone(BackboneConfig(st_layer_count=3), seed=1)
+            opt = Adam(model.params())
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                with pytest.raises(NoSelectedPairs) if skip else contextlib.nullcontext():
+                    train_epoch(model, images[:32 * batches], schedule, opt,
+                                batch_size=32, seed=0, epoch=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak(1), peak(2)
+        assert two <= 1.1 * one, (one, two)

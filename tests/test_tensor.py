@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stdac.errors import GradientNaN, ShapeError
+from stdac.errors import GradientNaN, GraphReleased, ShapeError
 from stdac.gradcheck import gradcheck
 from stdac.tensor import Tensor, no_grad
 
@@ -43,6 +43,20 @@ class TestBackward:
         loss = x.sqrt() * 0.0 + 1.0
         with np.errstate(invalid="ignore"), pytest.raises(GradientNaN, match="op="):
             loss.backward()
+
+    def test_new_graph_over_released_node_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = x * 3.0
+        h.sum().backward()
+        with pytest.raises(GraphReleased, match="op='mul'"):
+            (h * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_leaf_grads_sum_across_graphs(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        (x * 3.0).sum().backward()
+        (x * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [5.0, 7.0])
 
     def test_nonfinite_loss_rejected(self):
         x = Tensor(0.0, requires_grad=True)
