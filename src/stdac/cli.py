@@ -12,8 +12,8 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .dac import Backbone, BackboneConfig, EpochRecord, evaluate
 from .errors import CheckpointError, ConfigurationError, IdxFormatError
-from .harness import (ExperimentConfig, class_statistics, emit_curves, emit_st_visuals,
-                      load_dataset, read_config, read_run_csv, run_experiment)
+from .harness import (DATASETS, ExperimentConfig, class_statistics, emit_curves,
+                      emit_st_visuals, load_dataset, read_config, read_run_csv, run_experiment)
 
 DATASET_DEFAULT_L0 = {"fashion": 0.8}
 
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--dataset", choices=["mnist", "fashion", "synthetic"])
+        p.add_argument("--dataset", choices=DATASETS)
         p.add_argument("--data-dir", help="directory holding the IDX files")
         p.add_argument("--out")
 

@@ -133,10 +133,10 @@ class AugmentConfig:
     def __post_init__(self):
         lo, hi = self.scale_range
         if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
-            raise ConfigurationError(f"scale_range must be finite with 0 < min <= max, "
-                                     f"got {self.scale_range}")
+            raise ConfigurationError(f"scale_range must be finite with 0 < scale_min <= "
+                                     f"scale_max, got {self.scale_range}")
         if not np.isfinite(self.rotation_degrees) or not np.isfinite(self.translate_fraction):
-            raise ConfigurationError("augmentation ranges must be finite")
+            raise ConfigurationError("rotation_degrees and translate_fraction must be finite")
 
     @property
     def is_identity(self) -> bool:
@@ -208,16 +208,18 @@ def _glyph_prototypes(classes: int, cells: int, rng: np.random.Generator) -> np.
     return np.stack(protos)
 
 
-def make_synthetic_glyphs(n: int, seed: int = 0, classes: int = 10,
-                          rotation: float = 20.0, translate: float = 0.12,
-                          scale: tuple[float, float] = (0.85, 1.15)) -> ImageSet:
+GLYPH_JITTER = AugmentConfig(rotation_degrees=20.0, translate_fraction=0.12,
+                             scale_range=(0.85, 1.15))
+
+
+def make_synthetic_glyphs(n: int, seed: int = 0, classes: int = 10) -> ImageSet:
     """Labeled dataset of affinely jittered class glyphs.
 
     Each class is a fixed coarse binary stamp (drawn once from the seed);
-    each sample is that stamp under a random rotation/translation/scale,
-    bilinearly resampled. Spatially normalizing the jitter away is exactly
-    what a spatial transformer is for, so this corpus exercises the full
-    training loop when no real digit files are available. Images are 28x28.
+    each sample is that stamp under a random GLYPH_JITTER affine, bilinearly
+    resampled. Spatially normalizing the jitter away is exactly what a
+    spatial transformer is for, so this corpus exercises the full training
+    loop when no real digit files are available. Images are 28x28.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA119)))
     size = 28
@@ -232,8 +234,6 @@ def make_synthetic_glyphs(n: int, seed: int = 0, classes: int = 10,
         stamps[c, margin:margin + up, margin:margin + up, 0] = big
 
     labels = rng.integers(0, classes, size=n)
-    jitter = AugmentConfig(rotation_degrees=rotation, translate_fraction=translate,
-                           scale_range=scale)
-    theta = sample_affine_params(jitter, n, rng)
+    theta = sample_affine_params(GLYPH_JITTER, n, rng)
     images = np.clip(warp_images(stamps[labels], theta), 0.0, 1.0)
     return ImageSet(images, labels)

@@ -27,8 +27,8 @@ from .tensor import Tensor, no_grad
 VERSION_LINE = f"stdac {__version__}"
 
 METRIC_COLUMNS = ("loss", "selected_fraction", "acc", "nmi", "ari")
-CSV_COLUMNS = ("epoch", "loss", "selected_fraction", "acc", "nmi", "ari",
-               "lam", "u", "l")
+CSV_COLUMNS = tuple(f.name for f in fields(EpochRecord))
+DATASETS = ("mnist", "fashion", "synthetic")
 
 
 def fmt(x) -> str:
@@ -46,7 +46,7 @@ def fmt(x) -> str:
 class ExperimentConfig:
     """Flat, text-serializable description of one experiment."""
     name: str = "experiment"
-    dataset: str = "mnist"          # mnist | fashion | synthetic
+    dataset: str = "mnist"          # one of DATASETS
     data_dir: str = ""              # empty: $STDAC_DATA or ./data
     st_layer_count: int = 1
     cluster_count: int = 10
@@ -80,6 +80,10 @@ class ExperimentConfig:
         for key, low in minimums.items():
             if getattr(self, key) < low:
                 raise ConfigurationError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.dataset not in DATASETS:
+            raise ConfigurationError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
+        # the sub-configs check their own values, before any data loads
+        train_settings(self, self.seed)
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
@@ -156,7 +160,7 @@ def load_dataset(cfg: ExperimentConfig) -> ImageSet:
     if cfg.dataset == "synthetic":
         data = make_synthetic_glyphs(cfg.synthetic_count, seed=cfg.seed,
                                      classes=cfg.cluster_count)
-    elif cfg.dataset in ("mnist", "fashion"):
+    else:
         data_dir = cfg.data_dir or default_data_dir()
         pair = find_idx_pair(data_dir, cfg.dataset, "train")
         if pair is None:
@@ -173,8 +177,6 @@ def load_dataset(cfg: ExperimentConfig) -> ImageSet:
             test = load_idx(*test_pair)
             data = ImageSet(np.concatenate([data.images, test.images]),
                             np.concatenate([data.labels, test.labels]))
-    else:
-        raise ConfigurationError(f"unknown dataset {cfg.dataset!r}")
 
     if cfg.subset and cfg.subset < len(data):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3)))
@@ -371,12 +373,13 @@ def _grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
 
 
 def first_st_outputs(model, images: np.ndarray) -> np.ndarray:
-    """Eval-mode output of the model's first spatial transformer."""
+    """Eval-mode output of the model's first spatial transformer, 256 images at a time."""
     if getattr(model, "st1", None) is None:
         raise ConfigurationError("model has no spatial transformer layers; "
                                  "nothing to visualize")
     with no_grad():
-        return model.st1(Tensor(images), train=False).data
+        return np.concatenate([model.st1(Tensor(images[i:i + 256]), train=False).data
+                               for i in range(0, len(images), 256)])
 
 
 def emit_st_visuals(model, images: np.ndarray, path) -> np.ndarray:
@@ -394,8 +397,8 @@ def emit_st_visuals(model, images: np.ndarray, path) -> np.ndarray:
 def class_statistics(images: np.ndarray, truth: np.ndarray, out_dir,
                      model=None) -> dict[str, np.ndarray]:
     """Per-class pixelwise mean / std / variance images, one column per class
-    (population convention), for the originals and optionally the first-ST
-    outputs. Writes stats_<stat>[_st].pgm files; returns the grids."""
+    (population convention), for the originals and, if the model has an ST
+    layer, its first-ST outputs. Writes stats_<stat>[_st].pgm; returns the grids."""
     if truth is None:
         raise ConfigurationError("class statistics need ground-truth labels")
     out_dir = Path(out_dir)
@@ -421,7 +424,7 @@ def class_statistics(images: np.ndarray, truth: np.ndarray, out_dir,
         return grids
 
     grids = stat_grids(images, "")
-    if model is not None:
+    if getattr(model, "st1", None) is not None:
         grids.update(stat_grids(np.clip(first_st_outputs(model, images), 0, 1), "_st"))
     return grids
 

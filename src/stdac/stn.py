@@ -3,7 +3,9 @@
 Coordinate convention is corner-aligned: normalized -1 maps to the center of
 the first pixel and +1 to the center of the last, so an identity theta
 reproduces the input to rounding error. Samples falling outside the image
-read as zeros (and push no gradient into the input).
+read as zeros (and push no gradient into the input): the sampler appends one
+zero row to its table of pixel rows, and every out-of-image corner reads that
+row, so its gradient lands in the row that is dropped.
 
 theta is a per-sample 2x3 matrix [[a, b, tx], [c, d, ty]] acting on target
 coordinates: (x_src, y_src) = theta . (x_t, y_t, 1).
@@ -57,7 +59,7 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     """Sample an NHWC image batch at normalized grid coordinates.
 
     Each output pixel is the bilinear blend of the 4 pixels around its
-    source point; neighbors outside the image contribute zero. Differentiable
+    source point; neighbors outside the image read the zero row. Differentiable
     with respect to both the image values and the grid coordinates.
     """
     if x.ndim != 4:
@@ -67,49 +69,39 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     if grid.shape[0] != x.shape[0]:
         raise ShapeError(f"batch axis mismatch: input {x.shape[0]}, grid {grid.shape[0]}")
     n, h, w, c = x.shape
-    ho, wo = grid.shape[1], grid.shape[2]
 
-    sx = 0.5 * (w - 1)
-    sy = 0.5 * (h - 1)
+    sx, sy = 0.5 * (w - 1), 0.5 * (h - 1)
     px = (grid.data[..., 0] + 1.0) * sx
     py = (grid.data[..., 1] + 1.0) * sy
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
-    x1 = x0 + 1
-    y1 = y0 + 1
     wx1 = px - x0
     wx0 = 1.0 - wx1
     wy1 = py - y0
     wy0 = 1.0 - wy1
 
-    bidx = np.arange(n)[:, None, None]
-
-    def corner(yy, xx):
-        mask = ((yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)).astype(np.float64)
-        vals = x.data[bidx, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1), :]
-        return vals * mask[..., None], mask
-
-    v00, m00 = corner(y0, x0)
-    v01, m01 = corner(y0, x1)
-    v10, m10 = corner(y1, x0)
-    v11, m11 = corner(y1, x1)
-
-    y = ((wy0 * wx0)[..., None] * v00 + (wy0 * wx1)[..., None] * v01
-         + (wy1 * wx0)[..., None] * v10 + (wy1 * wx1)[..., None] * v11)
+    # the image as (n*h*w, c) pixel rows, then the zero row
+    zero_row = n * h * w
+    table = np.concatenate([x.data.reshape(zero_row, c), np.zeros((1, c), x.data.dtype)])
+    first = np.arange(n)[:, None, None] * (h * w)
+    rows = [np.where((yy >= 0) & (yy < h) & (xx >= 0) & (xx < w), first + yy * w + xx, zero_row)
+            for yy, xx in ((y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1))]
+    weights = [(wy0 * wx0)[..., None], (wy0 * wx1)[..., None],
+               (wy1 * wx0)[..., None], (wy1 * wx1)[..., None]]
+    v00, v01, v10, v11 = (table[r] for r in rows)
+    w00, w01, w10, w11 = weights
+    y = w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11
 
     out = Tensor.result(y, "bilinear_sample", (x, grid))
     if out.requires_grad:
         def bwd(g):
             if x.requires_grad:
-                dx = np.zeros_like(x.data)
-                for yy, xx, wgt, mask in ((y0, x0, wy0 * wx0, m00),
-                                          (y0, x1, wy0 * wx1, m01),
-                                          (y1, x0, wy1 * wx0, m10),
-                                          (y1, x1, wy1 * wx1, m11)):
-                    np.add.at(dx,
-                              (bidx, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)),
-                              g * (wgt * mask)[..., None])
-                x.accumulate_grad(dx)
+                # one flat index per element takes np.add.at's 1-d fast path
+                dtable = np.zeros((zero_row + 1) * c, x.data.dtype)
+                for r, wgt in zip(rows, weights):
+                    np.add.at(dtable, (r[..., None] * c + np.arange(c)).ravel(),
+                              (g * wgt).ravel())
+                x.accumulate_grad(dtable[:zero_row * c].reshape(x.shape))
             if grid.requires_grad:
                 dpx = (g * (wy0[..., None] * (v01 - v00)
                             + wy1[..., None] * (v11 - v10))).sum(axis=-1)
@@ -171,7 +163,6 @@ class SpatialTransformer(Module):
 
     def __init__(self, size: int, channels: int, name: str, seed: int):
         self.size = size
-        self.channels = channels
         self.locnet = LocalizationNet(size, channels, f"{name}/loc", seed)
 
     def theta(self, x: Tensor, train: bool = True) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from stdac import nn
+from stdac import nn, stn
 from stdac.errors import ConfigurationError, ShapeError
 from stdac.optim import Adam
 from stdac.tensor import Tensor
@@ -130,6 +130,61 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     return out
 
 
+def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
+    """Out-of-image corners read a clipped neighbour times a float mask."""
+    n, h, w, c = x.shape
+    sx = 0.5 * (w - 1)
+    sy = 0.5 * (h - 1)
+    px = (grid.data[..., 0] + 1.0) * sx
+    py = (grid.data[..., 1] + 1.0) * sy
+    x0 = np.floor(px).astype(np.int64)
+    y0 = np.floor(py).astype(np.int64)
+    x1 = x0 + 1
+    y1 = y0 + 1
+    wx1 = px - x0
+    wx0 = 1.0 - wx1
+    wy1 = py - y0
+    wy0 = 1.0 - wy1
+
+    bidx = np.arange(n)[:, None, None]
+
+    def corner(yy, xx):
+        mask = ((yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)).astype(np.float64)
+        vals = x.data[bidx, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1), :]
+        return vals * mask[..., None], mask
+
+    v00, m00 = corner(y0, x0)
+    v01, m01 = corner(y0, x1)
+    v10, m10 = corner(y1, x0)
+    v11, m11 = corner(y1, x1)
+
+    y = ((wy0 * wx0)[..., None] * v00 + (wy0 * wx1)[..., None] * v01
+         + (wy1 * wx0)[..., None] * v10 + (wy1 * wx1)[..., None] * v11)
+
+    out = Tensor.result(y, "bilinear_sample", (x, grid))
+    if out.requires_grad:
+        def bwd(g):
+            if x.requires_grad:
+                dx = np.zeros_like(x.data)
+                for yy, xx, wgt, mask in ((y0, x0, wy0 * wx0, m00),
+                                          (y0, x1, wy0 * wx1, m01),
+                                          (y1, x0, wy1 * wx0, m10),
+                                          (y1, x1, wy1 * wx1, m11)):
+                    np.add.at(dx,
+                              (bidx, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)),
+                              g * (wgt * mask)[..., None])
+                x.accumulate_grad(dx)
+            if grid.requires_grad:
+                dpx = (g * (wy0[..., None] * (v01 - v00)
+                            + wy1[..., None] * (v11 - v10))).sum(axis=-1)
+                dpy = (g * (wx0[..., None] * (v10 - v00)
+                            + wx1[..., None] * (v11 - v01))).sum(axis=-1)
+                dgrid = np.stack([dpx * sx, dpy * sy], axis=-1)
+                grid.accumulate_grad(dgrid)
+        out._backward = bwd
+    return out
+
+
 def adam_step(self: Adam) -> None:
     """Adam.step over whole arrays, one temporary per operation."""
     self.t += 1
@@ -158,5 +213,6 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(nn, "conv2d", conv2d)
     monkeypatch.setattr(nn, "maxpool2d", maxpool2d)
     monkeypatch.setattr(nn, "batch_norm", batch_norm)
+    monkeypatch.setattr(stn, "bilinear_sample", bilinear_sample)
     monkeypatch.setattr(Adam, "step", adam_step)
     monkeypatch.setattr(Tensor, "accumulate_grad", accumulate_grad)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
-from stdac import nn
+from stdac import nn, stn
 from stdac.dac import Backbone, BackboneConfig, ThresholdSchedule, train_epoch
 from stdac.dataio import AugmentConfig, make_synthetic_glyphs
 from stdac.optim import BLOCK, Adam
@@ -186,6 +186,36 @@ class TestAccumulateGrad:
         (a + b).sum().backward()
         a.grad += 1.0
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+class TestBilinearSample:
+    """The zero-row sampler against the masked, clipped one. `dx` and `dgrid`
+    keep every bit; `y` may differ only in the sign of a zero, where all four
+    corners fall outside the image and the reference's clipped neighbour is
+    negative (-0.0 there, +0.0 here)."""
+
+    @pytest.mark.parametrize("size,c", [(28, 1), (7, 128), (3, 256)])
+    def test_matches_reference(self, size, c, rng):
+        n = 8
+        x = rng.normal(size=(n, size, size, c))
+        # scales up to 2 and shifts up to 1.2 send some samples off the image
+        theta = np.concatenate([rng.uniform(-2.0, 2.0, size=(n, 2, 2)),
+                                rng.uniform(-1.2, 1.2, size=(n, 2, 1))], axis=2)
+        grid = stn.affine_grid(Tensor(theta), size, size).data
+        corner = np.floor((grid + 1.0) * 0.5 * (size - 1))
+        outside = ((corner < -1) | (corner >= size)).any(axis=-1)
+        assert outside.any() and not outside.all()
+        assert (x < 0).any()
+
+        y, grads = run_op(stn.bilinear_sample, [x, grid], 6)
+        y_ref, grads_ref = run_op(ref.bilinear_sample, [x, grid], 6)
+        for got, want in zip(grads, grads_ref):
+            assert_same_bits(got, want)
+        assert np.array_equal(y, y_ref)
+        differ = y.view(np.int64) != y_ref.view(np.int64)
+        assert np.all(y[differ] == 0.0)
+        assert np.signbit(y_ref[differ]).all() and not np.signbit(y[differ]).any()
+        assert not np.signbit(y[outside]).any()
 
 
 def test_training_steps_match_reference_ops(monkeypatch):

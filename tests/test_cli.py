@@ -1,5 +1,7 @@
 """End-to-end command-line tests driving main() in process."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,6 @@ def train(tiny_config, capsys):
 
 class TestTrain:
     def test_writes_run_tree_and_prints_summary(self, tiny_config, capsys):
-        from pathlib import Path
         cfg, out = train(tiny_config, capsys)
         base = Path(cfg.out_dir) / "cli"
         assert (base / "run1.csv").exists()
@@ -51,6 +52,15 @@ class TestTrain:
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["st_layer_count=7", "cluster_count=1", "u0=0.5",
+                                     "scale_min=2.0", "dataset=bogus"])
+    def test_bad_config_fails_before_the_run_tree(self, tiny_config, bad, capsys):
+        cfg, path = tiny_config
+        path.write_text(path.read_text() + bad + "\n")
+        assert main(["train", "--config", str(path)]) == 2
+        assert bad.partition("=")[0] in capsys.readouterr().err
+        assert not (Path(cfg.out_dir) / cfg.name).exists()
 
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
@@ -129,6 +139,18 @@ class TestViz:
                    "--config", str(path), "--out", str(tmp_path / "viz")])
         assert rc == 2
         assert "no spatial transformer" in capsys.readouterr().err
+
+    def test_stats_without_st_layers(self, tiny_config, tmp_path, capsys):
+        cfg, path = tiny_config
+        ckpt = tmp_path / "flat.stdac"
+        save_checkpoint(ckpt, Backbone(BackboneConfig(cluster_count=4)).state_dict())
+        viz_dir = tmp_path / "viz"
+        rc = main(["viz", "--checkpoint", str(ckpt), "--kind", "stats",
+                   "--config", str(path), "--out", str(viz_dir)])
+        assert rc == 0
+        assert sorted(p.name for p in viz_dir.iterdir()) == [
+            "stats_mean.pgm", "stats_std.pgm", "stats_var.pgm"]
+        capsys.readouterr()
 
     def test_curves_without_csvs_is_error_code(self, tmp_path, capsys):
         model = Backbone(BackboneConfig(st_layer_count=0, cluster_count=4))

@@ -48,9 +48,11 @@ class TestBackbone:
 
     def test_st_placements_sizes_and_channels(self):
         model = Backbone(BackboneConfig(st_layer_count=3))
-        assert (model.st1.size, model.st1.channels) == (28, 1)
-        assert (model.st2.size, model.st2.channels) == (7, 128)
-        assert (model.st3.size, model.st3.channels) == (3, 256)
+        assert (model.st1.size, model.st2.size, model.st3.size) == (28, 7, 3)
+        # each localization net reads its map's channels: 1, 128 and 256
+        assert model.st1.locnet.conv1.kernel.shape[2] == 1
+        assert model.st2.locnet.dense1.weight.shape[0] == 7 * 7 * 128
+        assert model.st3.locnet.dense1.weight.shape[0] == 3 * 3 * 256
         # only the 28x28 placement fits the conv stack; the 7x7 and 3x3
         # localization nets are dense only
         assert model.st1.locnet.conv1 is not None

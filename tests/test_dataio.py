@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from stdac import dataio
 from stdac.dataio import (
     AugmentConfig,
     ImageSet,
@@ -230,9 +231,11 @@ class TestSyntheticGlyphs:
         c = make_synthetic_glyphs(12, seed=6, classes=3)
         assert not np.array_equal(a.images, c.images)
 
-    def test_zero_jitter_collapses_to_class_stamps(self):
-        data = make_synthetic_glyphs(20, seed=2, classes=3, rotation=0.0,
-                                     translate=0.0, scale=(1.0, 1.0))
+    def test_zero_jitter_collapses_to_class_stamps(self, monkeypatch):
+        monkeypatch.setattr(dataio, "GLYPH_JITTER",
+                            AugmentConfig(rotation_degrees=0.0, translate_fraction=0.0,
+                                          scale_range=(1.0, 1.0)))
+        data = make_synthetic_glyphs(20, seed=2, classes=3)
         for c in range(3):
             idx = np.flatnonzero(data.labels == c)
             if len(idx) < 2:

@@ -1,6 +1,7 @@
 """Experiment harness tests: config text, CSVs, SVG curves, PGM visuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,11 @@ class TestConfigText:
         pytest.param({"subset": -1}, id="subset"),
         pytest.param({"batch_size": 1}, id="batch_size"),
         pytest.param({"dataset": "synthetic", "synthetic_count": 1}, id="synthetic_count"),
+        pytest.param({"st_layer_count": 7}, id="st_layer_count"),
+        pytest.param({"cluster_count": 1}, id="cluster_count"),
+        pytest.param({"u0": 0.5}, id="u0"),
+        pytest.param({"scale_min": 2.0}, id="scale_min"),
+        pytest.param({"dataset": "bogus"}, id="dataset"),
     ])
     def test_no_repeats_rejected(self, bad):
         # each value fails at construction, before any data loads or file is written
@@ -209,6 +215,23 @@ class TestStVisuals:
         images = rng.uniform(size=(8, 28, 28, 1))
         grid = emit_st_visuals(model, images, tmp_path / "grid.pgm")
         assert grid.shape[0] == 8 * 28 + 7 * 2
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self):
+        # the first ST layer runs in chunks, so only the output grows with n
+        model = Backbone(BackboneConfig(st_layer_count=1, cluster_count=4), seed=0)
+
+        def peak(n):
+            images = np.random.default_rng(0).uniform(size=(n, 28, 28, 1))
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                assert first_st_outputs(model, images).shape == images.shape
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(512), peak(1024)
+        assert large <= 1.1 * small, (small, large)
 
     def test_model_without_st_rejected(self, rng, tmp_path):
         model = Backbone(BackboneConfig(st_layer_count=0, cluster_count=4))
