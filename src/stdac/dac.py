@@ -107,12 +107,12 @@ class Backbone(Module):
 
 def predict_features(model: Backbone, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Label features for a full image array, eval mode, no graph."""
-    chunks = []
+    features = np.empty((len(images), model.config.cluster_count))
     with no_grad():
         for start in range(0, len(images), batch_size):
             xb = Tensor(images[start:start + batch_size])
-            chunks.append(model(xb, train=False).data)
-    return np.concatenate(chunks, axis=0)
+            features[start:start + batch_size] = model(xb, train=False).data
+    return features
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,9 @@ def load_idx(images_path, labels_path=None) -> ImageSet:
     if raw.ndim != 3:
         raise IdxFormatError(f"{images_path}: images magic requires rank 3, "
                              f"got rank {raw.ndim}")
-    images = raw.astype(np.float64)[..., None] / 255.0
+    if len(raw) == 0:
+        raise IdxFormatError(f"{images_path}: holds no images")
+    images = np.divide(raw[..., None], 255.0, dtype=np.float64)
     labels = None
     if labels_path is not None:
         lab = read_idx(labels_path)

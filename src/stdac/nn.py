@@ -86,17 +86,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
     else:
         raise ConfigurationError(f"unknown padding mode: {padding!r}")
 
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    hp, wp = xp.shape[1], xp.shape[2]
-    ho, wo = hp - kh + 1, wp - kw + 1
+    ho, wo = h + pt + pb - kh + 1, w + pl + pr - kw + 1
 
-    # im2col: rows are output pixels, columns run (i, j, c_in); the reshape
-    # of the strided window view is the one copy
-    cols2 = (np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-             .transpose(0, 1, 2, 4, 5, 3)
-             .reshape(n * ho * wo, kh * kw * c_in))
+    def im2col():
+        # rows are output pixels, columns run (i, j, c_in); the reshape of
+        # the strided window view of the padded input is the one copy
+        xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        return (np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+                .transpose(0, 1, 2, 4, 5, 3)
+                .reshape(n * ho * wo, kh * kw * c_in))
+
     wmat = kernel.data.reshape(kh * kw * c_in, c_out)
-    y = cols2 @ wmat
+    y = im2col() @ wmat
     y += bias.data
     y = y.reshape(n, ho, wo, c_out)
 
@@ -105,7 +106,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
         def bwd(g):
             g2 = g.reshape(n * ho * wo, c_out)
             if kernel.requires_grad:
-                kernel.accumulate_grad((cols2.T @ g2).reshape(kernel.shape))
+                # the columns are rebuilt from x rather than cached: kh*kw
+                # times the input per conv would otherwise stay alive from
+                # forward to backward (about 175 MB of a batch-128 graph),
+                # and the same copy of the same values keeps dW's bits
+                kernel.accumulate_grad((im2col().T @ g2).reshape(kernel.shape))
             if bias.requires_grad:
                 bias.accumulate_grad(g2.sum(axis=0))
             if x.requires_grad:

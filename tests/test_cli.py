@@ -8,6 +8,7 @@ import pytest
 from stdac.checkpoint import load_checkpoint, save_checkpoint
 from stdac.cli import backbone_from_state, build_parser, main, _build_config
 from stdac.dac import Backbone, BackboneConfig
+from stdac.dataio import ImageSet, save_idx
 from stdac.errors import ConfigurationError
 from stdac.harness import ExperimentConfig, config_to_text, write_config
 
@@ -101,6 +102,19 @@ class TestEval:
                    "--data-dir", str(data_dir)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_empty_idx_is_error_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.stdac"
+        save_checkpoint(ckpt, Backbone(BackboneConfig(cluster_count=4)).state_dict())
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        save_idx(ImageSet(np.zeros((0, 28, 28, 1)), np.zeros(0, dtype=np.int64)),
+                 data_dir / "train-images-idx3-ubyte", data_dir / "train-labels-idx1-ubyte")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", "mnist",
+                   "--data-dir", str(data_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train-images-idx3-ubyte" in err
 
 
 class TestViz:

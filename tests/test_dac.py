@@ -1,7 +1,9 @@
 """Pairwise-clustering engine tests: backbone, labels, loss, schedule, fit."""
 
 import contextlib
+import ctypes
 import dataclasses
+import resource
 import tracemalloc
 
 import numpy as np
@@ -446,3 +448,33 @@ class TestTrainEpochMemory:
 
         one, two = peak(1), peak(2)
         assert two <= 1.1 * one, (one, two)
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestTrainStepFaults:
+    """A training step reuses the memory the previous step freed rather than
+    mapping it from the OS again (the allocator policy in stdac.tensor)."""
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the allocator policy needs glibc mallopt")
+    def test_third_step_takes_few_page_faults(self):
+        images = make_synthetic_glyphs(64, seed=3).images
+        model = Backbone(BackboneConfig(st_layer_count=3), seed=1)
+        opt = Adam(model.params())
+        schedule = ThresholdSchedule(u0=0.5, l0=0.5)
+
+        def step():
+            train_epoch(model, images, schedule, opt, batch_size=64, seed=0, epoch=1)
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # batch 64 maps 11-13k pages per step when freed arrays go back to the OS
+        assert faults <= 1000, faults

@@ -1,5 +1,7 @@
 """Network ops against hand oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,20 @@ class TestConv:
         b = Tensor(rng.normal(size=3), requires_grad=True)
         gradcheck(lambda *t: (nn.conv2d(*t, "same") * nn.conv2d(*t, "same")).sum(),
                   (x, k, b))
+
+    def test_graph_holds_no_im2col_columns(self, rng):
+        # backward rebuilds the columns from x, so forward leaves only y alive;
+        # the columns here are 9x the size of y
+        x = Tensor(rng.normal(size=(4, 16, 16, 8)))
+        k = Tensor(rng.normal(size=(3, 3, 8, 8)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = nn.conv2d(x, k, b)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * y.data.nbytes, (held, y.data.nbytes)
 
 
 class TestMaxPool:
