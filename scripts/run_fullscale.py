@@ -3,9 +3,9 @@
 
 This is the long-running, non-gating companion to the acceptance smoke run.
 Target: final clustering accuracy >= 0.95 on the digit corpus with two
-spatial transformer layers. On a desk CPU expect hours per repeat; nothing
-in the test suite depends on this script. Results land in the usual
-experiment tree (run CSVs, summary, curves, checkpoints).
+spatial transformer layers. On a desk CPU expect hours per repeat; the test
+suite checks only the config this script builds, never runs it. Results land
+in the usual experiment tree (run CSVs, summary, curves, checkpoints).
 
     python3 scripts/run_fullscale.py --data-dir data --out runs
 """

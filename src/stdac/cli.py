@@ -13,7 +13,8 @@ from .checkpoint import load_checkpoint
 from .dac import Backbone, BackboneConfig, EpochRecord, evaluate
 from .errors import CheckpointError, ConfigurationError, IdxFormatError
 from .harness import (DATASETS, ExperimentConfig, class_statistics, emit_curves,
-                      emit_st_visuals, load_dataset, read_config, read_run_csv, run_experiment)
+                      emit_st_visuals, load_dataset, read_config, read_run_csv,
+                      run_ablation, run_experiment)
 
 DATASET_DEFAULT_L0 = {"fashion": 0.8}
 
@@ -39,8 +40,8 @@ def backbone_from_state(state: dict[str, np.ndarray]) -> Backbone:
 def _build_config(args) -> ExperimentConfig:
     cfg = read_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    if getattr(args, "st_layers", None) is not None:
-        overrides["st_layer_count"] = args.st_layers
+    if len(getattr(args, "st_layers", ())) == 1:
+        overrides["st_layer_count"] = args.st_layers[0]
     if getattr(args, "dataset", None):
         overrides["dataset"] = args.dataset
         if args.dataset in DATASET_DEFAULT_L0 and args.config is None:
@@ -54,18 +55,36 @@ def _build_config(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _st_counts(text: str) -> tuple[int, ...]:
+    """`--st-layers` value: one ST-layer count, or a comma-separated sweep of
+    distinct counts, each in 0..3."""
+    counts = text.split(",")
+    if not set(counts) <= {"0", "1", "2", "3"} or len(set(counts)) != len(counts):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct counts in 0..3, comma-separated, got {text!r}")
+    return tuple(map(int, counts))
+
+
 def cmd_train(args) -> int:
     cfg = _build_config(args)
 
-    def progress(rec):
+    def print_epoch(rec):
         print(f"epoch {rec.epoch}: loss {rec.loss:.4f} selected {rec.selected_fraction:.3f} "
               f"acc {rec.acc:.4f} nmi {rec.nmi:.4f} ari {rec.ari:.4f}", flush=True)
 
-    result = run_experiment(cfg, progress=progress if args.verbose else None)
-    print(f"wrote {len(result.run_csvs)} run file(s) and {result.summary_csv}")
-    for line in result.summary_csv.read_text().splitlines():
-        if not line.startswith("#"):
-            print(line)
+    progress = print_epoch if args.verbose else None
+    if len(args.st_layers) > 1:
+        results = list(run_ablation(cfg, args.st_layers, progress).values())
+    else:
+        results = [run_experiment(cfg, progress=progress)]
+    for result in results:
+        print(f"wrote {len(result.run_csvs)} run file(s) and {result.summary_csv}")
+        for line in result.summary_csv.read_text().splitlines():
+            if not line.startswith("#"):
+                print(line)
+    if len(results) > 1:
+        curves = Path(cfg.out_dir) / f"{cfg.name}-ablation" / "curves"
+        print(f"wrote combined curves to {curves}")
     return 0
 
 
@@ -82,6 +101,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     out_dir = Path(args.out or "viz")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "curves":
@@ -128,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a training experiment")
     p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--st-layers", type=int, choices=[0, 1, 2, 3])
+    p_train.add_argument("--st-layers", type=_st_counts, default=(), metavar="N[,N...]",
+                         help="ST-layer count; several counts run the sweep")
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--verbose", action="store_true")
     common(p_train)

@@ -32,14 +32,13 @@ from .tensor import Tensor, no_grad
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """VGG-style 28x28 backbone with 0-3 spatial transformer placements.
+    """VGG-style 28x28 single-channel backbone with 0-3 spatial transformer placements.
 
     Placements activate as a prefix of [on the input, after the second pool,
     after the third pool]."""
     st_layer_count: int = 0
     cluster_count: int = 10
     input_size: int = 28
-    input_channels: int = 1
 
     def __post_init__(self):
         if self.st_layer_count not in (0, 1, 2, 3):
@@ -62,16 +61,16 @@ class Backbone(Module):
     def __init__(self, config: BackboneConfig, seed: int = 0):
         self.config = config
         self.seed = seed
-        s, c = config.input_size, config.input_channels
+        s = config.input_size
         s2, s3 = s // 4, s // 8
 
         # the assignment order below is the order of the checkpoint records
-        self.st1 = SpatialTransformer(s, c, "st1", seed) if config.st_layer_count >= 1 else None
+        self.st1 = SpatialTransformer(s, 1, "st1", seed) if config.st_layer_count >= 1 else None
         self.st2 = SpatialTransformer(s2, 128, "st2", seed) if config.st_layer_count >= 2 else None
         self.st3 = SpatialTransformer(s3, 256, "st3", seed) if config.st_layer_count >= 3 else None
 
         self.pool = MaxPool(2)
-        self.conv1 = Conv2d(3, 3, c, 64, "block1/conv", seed)
+        self.conv1 = Conv2d(3, 3, 1, 64, "block1/conv", seed)
         self.bn1 = BatchNorm(64, "block1/bn")
         self.bnp1 = BatchNorm(64, "block1/pool_bn")
         self.conv2 = Conv2d(3, 3, 64, 128, "block2/conv", seed)
@@ -88,17 +87,17 @@ class Backbone(Module):
     def __call__(self, x, train: bool = True, force_identity_theta: bool = False) -> Tensor:
         h = x if isinstance(x, Tensor) else Tensor(x)
         if self.st1 is not None:
-            h = self.st1(h, train, identity=force_identity_theta)
+            h = self.st1(h, identity=force_identity_theta)
         h = self.bn1(self.conv1(h), train).relu()
         h = self.bnp1(self.pool(h), train)
         h = self.bn2(self.conv2(h), train).relu()
         h = self.bnp2(self.pool(h), train)
         if self.st2 is not None:
-            h = self.st2(h, train, identity=force_identity_theta)
+            h = self.st2(h, identity=force_identity_theta)
         h = self.bn3(self.conv3(h), train).relu()
         h = self.bnp3(self.pool(h), train)
         if self.st3 is not None:
-            h = self.st3(h, train, identity=force_identity_theta)
+            h = self.st3(h, identity=force_identity_theta)
         h = h.reshape((h.shape[0], -1))
         h = self.fc_bn(self.fc(h), train).relu()
         h = self.head_bn(self.head(h), train).relu()

@@ -109,16 +109,17 @@ def config_from_text(text: str) -> ExperimentConfig:
         if key not in types:
             raise ConfigurationError(f"unknown config key {key!r} on line {lineno}")
         t = types[key]
-        if t == "int":
-            values[key] = int(val)
-        elif t == "float":
-            values[key] = float(val)
-        elif t == "bool":
-            if val.lower() not in _BOOL_WORDS:
-                raise ConfigurationError(f"bad boolean {val!r} for {key!r}")
-            values[key] = _BOOL_WORDS[val.lower()]
-        else:
-            values[key] = val
+        try:
+            if t == "int":
+                values[key] = int(val)
+            elif t == "float":
+                values[key] = float(val)
+            elif t == "bool":
+                values[key] = _BOOL_WORDS[val.lower()]
+            else:
+                values[key] = val
+        except (ValueError, KeyError):
+            raise ConfigurationError(f"bad {t} {val!r} for {key!r} on line {lineno}") from None
     return ExperimentConfig(**values)
 
 
@@ -373,12 +374,12 @@ def _grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
 
 
 def first_st_outputs(model, images: np.ndarray) -> np.ndarray:
-    """Eval-mode output of the model's first spatial transformer, 256 images at a time."""
+    """Output of the model's first spatial transformer, 256 images at a time."""
     if getattr(model, "st1", None) is None:
         raise ConfigurationError("model has no spatial transformer layers; "
                                  "nothing to visualize")
     with no_grad():
-        return np.concatenate([model.st1(Tensor(images[i:i + 256]), train=False).data
+        return np.concatenate([model.st1(Tensor(images[i:i + 256])).data
                                for i in range(0, len(images), 256)])
 
 
@@ -491,7 +492,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                             checkpoints, base)
 
 
-def run_ablation(cfg: ExperimentConfig, st_counts=(0, 1, 2, 3),
+def run_ablation(cfg: ExperimentConfig, st_counts,
                  progress=None) -> dict[int, ExperimentResult]:
     """The st-layer-count sweep: one experiment per count, plus combined
     curves (one line per variant) under <out>/<name>-ablation/curves."""

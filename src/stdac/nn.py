@@ -201,14 +201,18 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return x / sq.sqrt()
 
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               train: bool, eps: float = 1e-5, momentum: float = 0.9) -> Tensor:
+               train: bool) -> Tensor:
     """Per-channel batch normalization over all axes but the last.
 
     Train mode normalizes by batch statistics (population variance) and
     updates the running buffers in place:
-        running <- momentum * running + (1 - momentum) * batch.
+        running <- BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch.
     Eval mode normalizes by the running buffers.
     """
     if x.shape[-1] != gamma.shape[0]:
@@ -225,17 +229,17 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         # np.var's own arithmetic; the squares' buffer then takes y
         ybuf = np.square(xc)
         var = ybuf.sum(axis=axes) / m
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mu
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         mu, var = running_mean, running_var
         xc = x.data - mu
         # eval backward reads xhat only for gamma's gradient; else y overwrites it
         ybuf = None if gamma.requires_grad and grad_enabled() else xc
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = xc
     xhat *= inv_std
     y = np.multiply(xhat, gamma.data, out=ybuf)
@@ -329,7 +333,7 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(c_out), f"{name}/bias")
         self.padding = padding
 
-    def __call__(self, x: Tensor, train: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.kernel, self.bias, self.padding)
 
 
@@ -343,20 +347,18 @@ class Dense(Module):
         self.weight = Parameter(w, f"{name}/weight")
         self.bias = Parameter(np.zeros(d_out), f"{name}/bias")
 
-    def __call__(self, x: Tensor, train: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return dense(x, self.weight, self.bias)
 
 
 class BatchNorm(Module):
     """Learned scale/shift plus running statistics for eval mode."""
 
-    def __init__(self, channels: int, name: str, eps: float = 1e-5, momentum: float = 0.9):
+    def __init__(self, channels: int, name: str):
         self.gamma = Parameter(np.ones(channels), f"{name}/gamma")
         self.beta = Parameter(np.zeros(channels), f"{name}/beta")
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.eps = eps
-        self.momentum = momentum
         self.name = name
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
@@ -365,12 +367,12 @@ class BatchNorm(Module):
 
     def __call__(self, x: Tensor, train: bool = True) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, train, self.eps, self.momentum)
+                          self.running_var, train)
 
 
 class MaxPool(Module):
     def __init__(self, size: int = 2):
         self.size = size
 
-    def __call__(self, x: Tensor, train: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return maxpool2d(x, self.size)

@@ -147,7 +147,7 @@ class LocalizationNet(Module):
         self.head.weight.data[:] = 0.0
         self.head.bias.data[[0, 4]] = THETA_BIAS
 
-    def __call__(self, x: Tensor, train: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         h = x
         if self.conv1 is not None:
             h = self.conv1(self.pool(h)).tanh()
@@ -165,16 +165,16 @@ class SpatialTransformer(Module):
         self.size = size
         self.locnet = LocalizationNet(size, channels, f"{name}/loc", seed)
 
-    def theta(self, x: Tensor, train: bool = True) -> Tensor:
-        flat = self.locnet(x, train)
+    def theta(self, x: Tensor) -> Tensor:
+        flat = self.locnet(x)
         return flat.reshape((flat.shape[0], 2, 3))
 
-    def __call__(self, x: Tensor, train: bool = True, identity: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, identity: bool = False) -> Tensor:
         """identity=True samples with the identity theta instead of the
         predicted one, reproducing the input to rounding error."""
         if x.shape[1] != self.size or x.shape[2] != self.size:
             raise ShapeError(f"spatial transformer built for {self.size}x{self.size}, "
                              f"got {x.shape[1]}x{x.shape[2]}")
-        theta = Tensor(identity_theta(x.shape[0])) if identity else self.theta(x, train)
+        theta = Tensor(identity_theta(x.shape[0])) if identity else self.theta(x)
         grid = affine_grid(theta, x.shape[1], x.shape[2])
         return bilinear_sample(x, grid)

@@ -1,10 +1,12 @@
 """End-to-end command-line tests driving main() in process."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stdac import harness
 from stdac.checkpoint import load_checkpoint, save_checkpoint
 from stdac.cli import backbone_from_state, build_parser, main, _build_config
 from stdac.dac import Backbone, BackboneConfig
@@ -55,7 +57,7 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["st_layer_count=7", "cluster_count=1", "u0=0.5",
-                                     "scale_min=2.0", "dataset=bogus"])
+                                     "scale_min=2.0", "dataset=bogus", "batch_size=abc"])
     def test_bad_config_fails_before_the_run_tree(self, tiny_config, bad, capsys):
         cfg, path = tiny_config
         path.write_text(path.read_text() + bad + "\n")
@@ -66,6 +68,51 @@ class TestTrain:
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["train", "--nonsense"])
+
+
+class TestSweep:
+    def test_each_count_matches_a_single_run(self, tiny_config, capsys):
+        cfg, path = tiny_config
+        assert main(["train", "--config", str(path), "--st-layers", "0,1"]) == 0
+        out = capsys.readouterr().out
+        runs = Path(cfg.out_dir)
+        assert f"wrote combined curves to {runs / 'cli-ablation' / 'curves'}" in out
+        acc = (runs / "cli-ablation" / "curves" / "acc.svg").read_text()
+        assert 'data-label="0 ST"' in acc and 'data-label="1 ST"' in acc
+        for count in (0, 1):
+            name = f"cli-st{count}"
+            swept = {f: (runs / name / f).read_bytes()
+                     for f in ("run1.csv", "summary.csv", "checkpoints/run1.stdac")}
+            path.write_text(config_to_text(replace(cfg, name=name)))
+            assert main(["train", "--config", str(path), "--st-layers", str(count)]) == 0
+            for f, blob in swept.items():
+                assert (runs / name / f).read_bytes() == blob, (name, f)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", ["0,4", "1,1", "0,", "x"])
+    def test_bad_counts_exit_before_the_run_tree(self, tiny_config, bad, capsys):
+        cfg, path = tiny_config
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--config", str(path), "--st-layers", bad])
+        assert exit_info.value.code == 2
+        assert "--st-layers" in capsys.readouterr().err
+        assert not Path(cfg.out_dir).exists()
+
+    def test_fashion_sweep_gets_the_fashion_l0(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def fake_run(cfg, progress=None):
+            seen.append(cfg)
+            summary = tmp_path / f"{cfg.name}.csv"
+            summary.write_text("metric,mean,std,runs\n")
+            return harness.ExperimentResult(cfg, [], [], summary, [], tmp_path)
+
+        monkeypatch.setattr(harness, "run_experiment", fake_run)
+        assert main(["train", "--dataset", "fashion", "--st-layers", "0,1",
+                     "--out", str(tmp_path / "runs")]) == 0
+        assert [(c.name, c.st_layer_count, c.l0) for c in seen] == [
+            ("experiment-st0", 0, 0.8), ("experiment-st1", 1, 0.8)]
+        capsys.readouterr()
 
 
 class TestEval:
@@ -165,6 +212,19 @@ class TestViz:
         assert sorted(p.name for p in viz_dir.iterdir()) == [
             "stats_mean.pgm", "stats_std.pgm", "stats_var.pgm"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_rejected(self, tiny_config, tmp_path, samples, capsys):
+        cfg, path = tiny_config
+        ckpt = tmp_path / "st.stdac"
+        save_checkpoint(ckpt, Backbone(BackboneConfig(st_layer_count=1,
+                                                      cluster_count=4)).state_dict())
+        viz_dir = tmp_path / "viz"
+        rc = main(["viz", "--checkpoint", str(ckpt), "--kind", "st", "--config", str(path),
+                   "--samples", samples, "--out", str(viz_dir)])
+        assert rc == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not viz_dir.exists()
 
     def test_curves_without_csvs_is_error_code(self, tmp_path, capsys):
         model = Backbone(BackboneConfig(st_layer_count=0, cluster_count=4))
