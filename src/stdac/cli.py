@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .dac import Backbone, BackboneConfig, EpochRecord, evaluate
+from .dac import Backbone, BackboneConfig, evaluate
 from .errors import CheckpointError, ConfigurationError, IdxFormatError
-from .harness import (DATASETS, ExperimentConfig, class_statistics, emit_curves,
-                      emit_st_visuals, load_dataset, read_config, read_run_csv,
-                      run_ablation, run_experiment)
+from .harness import (DATASETS, ExperimentConfig, class_statistics, emit_st_visuals,
+                      load_dataset, read_config, run_ablation, run_experiment)
 
 DATASET_DEFAULT_L0 = {"fashion": 0.8}
 
@@ -68,15 +67,15 @@ def _st_counts(text: str) -> tuple[int, ...]:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
 
-    def print_epoch(rec):
-        print(f"epoch {rec.epoch}: loss {rec.loss:.4f} selected {rec.selected_fraction:.3f} "
+    def print_epoch(rec, label=""):
+        print(f"{label}epoch {rec.epoch}: loss {rec.loss:.4f} selected {rec.selected_fraction:.3f} "
               f"acc {rec.acc:.4f} nmi {rec.nmi:.4f} ari {rec.ari:.4f}", flush=True)
 
-    progress = print_epoch if args.verbose else None
     if len(args.st_layers) > 1:
+        progress = (lambda name, rec: print_epoch(rec, f"{name} ")) if args.verbose else None
         results = list(run_ablation(cfg, args.st_layers, progress).values())
     else:
-        results = [run_experiment(cfg, progress=progress)]
+        results = [run_experiment(cfg, progress=print_epoch if args.verbose else None)]
     for result in results:
         print(f"wrote {len(result.run_csvs)} run file(s) and {result.summary_csv}")
         for line in result.summary_csv.read_text().splitlines():
@@ -105,20 +104,6 @@ def cmd_viz(args) -> int:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     out_dir = Path(args.out or "viz")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.kind == "curves":
-        run_dir = Path(args.runs) if args.runs else Path(args.checkpoint).parent.parent
-        csvs = sorted(run_dir.glob("run*.csv"))
-        if not csvs:
-            raise ConfigurationError(f"no run CSVs under {run_dir}")
-        by_label = {}
-        for path in csvs:
-            _, rows = read_run_csv(path)
-            by_label[path.stem] = [EpochRecord(**{**r, "epoch": int(r["epoch"])})
-                                   for r in rows]
-        emit_curves(by_label, out_dir)
-        print(f"wrote curves for {len(by_label)} run(s) to {out_dir}")
-        return 0
-
     model = backbone_from_state(load_checkpoint(args.checkpoint))
     cfg = _build_config(args)
     data = load_dataset(cfg)
@@ -165,12 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_viz = sub.add_parser("viz", help="emit visualization files")
     p_viz.add_argument("--checkpoint", required=True)
-    p_viz.add_argument("--kind", choices=["st", "stats", "curves"], required=True)
+    p_viz.add_argument("--kind", choices=["st", "stats"], required=True)
     p_viz.add_argument("--config")
     p_viz.add_argument("--seed", type=int)
     p_viz.add_argument("--samples", type=int, default=8)
-    p_viz.add_argument("--runs", help="experiment directory with run CSVs "
-                                      "(curves kind)")
     common(p_viz)
     p_viz.set_defaults(func=cmd_viz)
     return parser

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +138,7 @@ def write_config(path, cfg: ExperimentConfig) -> None:
 
 IDX_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+    "t10k": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
 
 
@@ -145,10 +146,11 @@ def default_data_dir() -> str:
     return os.environ.get("STDAC_DATA", "data")
 
 
-def find_idx_pair(data_dir, dataset: str, split: str):
-    """Locate (images, labels) files under data_dir/dataset/ or data_dir/,
-    plain or gzipped; None if absent."""
-    img_name, lab_name = IDX_FILES[split]
+def find_idx_pair(data_dir, dataset: str, prefix: str):
+    """Locate the (images, labels) files of the split with this file-name
+    prefix, "train" or "t10k", under data_dir/dataset/ or data_dir/, plain or
+    gzipped; None if absent."""
+    img_name, lab_name = IDX_FILES[prefix]
     for base in (Path(data_dir) / dataset, Path(data_dir)):
         for suffix in ("", ".gz"):
             img, lab = base / (img_name + suffix), base / (lab_name + suffix)
@@ -171,9 +173,10 @@ def load_dataset(cfg: ExperimentConfig) -> ImageSet:
                 f"{cfg.dataset}/ subdirectory or directly)")
         data = load_idx(*pair)
         if cfg.use_test_split:
-            test_pair = find_idx_pair(data_dir, cfg.dataset, "test")
+            test_pair = find_idx_pair(data_dir, cfg.dataset, "t10k")
             if test_pair is None:
-                raise ConfigurationError(f"use_test_split set but no test files "
+                raise ConfigurationError(f"use_test_split set but no "
+                                         f"{IDX_FILES['t10k'][0]}[.gz] pair "
                                          f"under {data_dir!r}")
             test = load_idx(*test_pair)
             data = ImageSet(np.concatenate([data.images, test.images]),
@@ -215,19 +218,6 @@ def write_run_csv(path, cfg: ExperimentConfig, records: list[EpochRecord]) -> No
         lines.append(",".join([str(r.epoch)] + [fmt(getattr(r, c))
                                                 for c in CSV_COLUMNS[1:]]))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_run_csv(path) -> tuple[list[str], list[dict[str, float]]]:
-    """Comment lines (config echo) and data rows as column->float dicts."""
-    comments, rows, header = [], [], None
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif header is None:
-            header = line.split(",")
-        elif line:
-            rows.append({k: float(v) for k, v in zip(header, line.split(","))})
-    return comments, rows
 
 
 def write_summary_csv(path, cfg: ExperimentConfig,
@@ -449,7 +439,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     and one best-parameters checkpoint per run, then the aggregate summary
     and the per-metric curves. Failures leave completed runs on disk and a
     manifest note before propagating."""
-    data = load_dataset(cfg)
+    return _run_experiment(cfg, load_dataset(cfg), progress)
+
+
+def _run_experiment(cfg: ExperimentConfig, data: ImageSet,
+                    progress) -> ExperimentResult:
     base = Path(cfg.out_dir) / cfg.name
     (base / "curves").mkdir(parents=True, exist_ok=True)
     (base / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -494,13 +488,16 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
 
 def run_ablation(cfg: ExperimentConfig, st_counts,
                  progress=None) -> dict[int, ExperimentResult]:
-    """The st-layer-count sweep: one experiment per count, plus combined
-    curves (one line per variant) under <out>/<name>-ablation/curves."""
-    from dataclasses import replace
+    """The st-layer-count sweep: one experiment per count, all on one load of
+    the corpus, plus combined curves (one line per variant) under
+    <out>/<name>-ablation/curves. `progress`, if given, is called as
+    progress(variant_name, record) after each epoch."""
+    data = load_dataset(cfg)
     results: dict[int, ExperimentResult] = {}
     for count in st_counts:
         sub = replace(cfg, name=f"{cfg.name}-st{count}", st_layer_count=count)
-        results[count] = run_experiment(sub, progress=progress)
+        labelled = partial(progress, sub.name) if progress else None
+        results[count] = _run_experiment(sub, data, labelled)
     combined = {f"{count} ST": res.run_records[0]
                 for count, res in results.items() if res.run_records}
     emit_curves(combined, Path(cfg.out_dir) / f"{cfg.name}-ablation" / "curves")

@@ -8,6 +8,19 @@ import numpy as np
 from stdac.errors import ConfigurationError
 
 
+def read_run_csv(path) -> tuple[list[str], list[dict[str, float]]]:
+    """Comment lines (config echo) and data rows as column->float dicts."""
+    comments, rows, header = [], [], None
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            comments.append(line)
+        elif header is None:
+            header = line.split(",")
+        elif line:
+            rows.append({k: float(v) for k, v in zip(header, line.split(","))})
+    return comments, rows
+
+
 def parse_svg_series(path) -> dict[str, tuple[list[float], list[float]]]:
     """Recover the exact plotted values from a curves SVG."""
     text = Path(path).read_text()

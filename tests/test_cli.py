@@ -1,5 +1,7 @@
 """End-to-end command-line tests driving main() in process."""
 
+import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,9 +12,12 @@ from stdac import harness
 from stdac.checkpoint import load_checkpoint, save_checkpoint
 from stdac.cli import backbone_from_state, build_parser, main, _build_config
 from stdac.dac import Backbone, BackboneConfig
-from stdac.dataio import ImageSet, save_idx
+from stdac.dataio import ImageSet, load_idx, make_synthetic_glyphs, save_idx
 from stdac.errors import ConfigurationError
-from stdac.harness import ExperimentConfig, config_to_text, write_config
+from stdac.harness import (ExperimentConfig, config_to_text, find_idx_pair, read_config,
+                           write_config)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -101,18 +106,106 @@ class TestSweep:
     def test_fashion_sweep_gets_the_fashion_l0(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def fake_run(cfg, progress=None):
+        def fake_run(cfg, data, progress):
             seen.append(cfg)
             summary = tmp_path / f"{cfg.name}.csv"
             summary.write_text("metric,mean,std,runs\n")
             return harness.ExperimentResult(cfg, [], [], summary, [], tmp_path)
 
-        monkeypatch.setattr(harness, "run_experiment", fake_run)
+        monkeypatch.setattr(harness, "load_dataset", lambda cfg: None)
+        monkeypatch.setattr(harness, "_run_experiment", fake_run)
         assert main(["train", "--dataset", "fashion", "--st-layers", "0,1",
                      "--out", str(tmp_path / "runs")]) == 0
         assert [(c.name, c.st_layer_count, c.l0) for c in seen] == [
             ("experiment-st0", 0, 0.8), ("experiment-st1", 1, 0.8)]
         capsys.readouterr()
+
+    def test_the_corpus_loads_once(self, tiny_config, monkeypatch, capsys):
+        _, path = tiny_config
+        loaded, real_load = [], harness.load_dataset
+
+        def counting_load(cfg):
+            loaded.append(cfg.name)
+            return real_load(cfg)
+
+        monkeypatch.setattr(harness, "load_dataset", counting_load)
+        assert main(["train", "--config", str(path), "--st-layers", "0,1"]) == 0
+        assert loaded == ["cli"]
+        capsys.readouterr()
+
+    def test_epoch_lines_name_their_variant(self, tiny_config, capsys):
+        _, path = tiny_config
+
+        def epoch_lines(argv):
+            assert main(["train", "--config", str(path), "--verbose", *argv]) == 0
+            return [l for l in capsys.readouterr().out.splitlines() if "epoch 1:" in l]
+
+        (single,) = epoch_lines([])
+        assert single.startswith("epoch 1: loss ")
+        assert epoch_lines(["--st-layers", "0,1"])[0] == f"cli-st0 {single}"
+        assert [l.split()[0] for l in epoch_lines(["--st-layers", "1,0"])] == [
+            "cli-st1", "cli-st0"]
+
+
+class TestTestSplit:
+    @pytest.fixture
+    def split_config(self, tiny_config, tmp_path):
+        cfg, path = tiny_config
+        data_dir = tmp_path / "data"
+        (data_dir / "mnist").mkdir(parents=True)
+        for seed, prefix in enumerate(("train", "t10k")):
+            save_idx(make_synthetic_glyphs(12, seed=seed, classes=4),
+                     data_dir / "mnist" / f"{prefix}-images-idx3-ubyte",
+                     data_dir / "mnist" / f"{prefix}-labels-idx1-ubyte")
+        cfg = replace(cfg, dataset="mnist", data_dir=str(data_dir), use_test_split=True,
+                      st_layer_count=2)
+        write_config(path, cfg)
+        return cfg, path
+
+    def test_trains_on_the_train_then_the_test_images(self, split_config, capsys):
+        cfg, path = split_config
+        assert main(["train", "--config", str(path)]) == 0
+        base = Path(cfg.out_dir) / cfg.name
+        for f in ("config.txt", "run1.csv", "summary.csv", "curves/acc.svg"):
+            assert (base / f).exists(), f
+        model = backbone_from_state(load_checkpoint(base / "checkpoints" / "run1.stdac"))
+        assert model.config.st_layer_count == 2
+        train, test = (load_idx(*find_idx_pair(cfg.data_dir, "mnist", prefix))
+                       for prefix in ("train", "t10k"))
+        data = harness.load_dataset(read_config(path))
+        np.testing.assert_array_equal(data.images,
+                                      np.concatenate([train.images, test.images]))
+        np.testing.assert_array_equal(data.labels,
+                                      np.concatenate([train.labels, test.labels]))
+        capsys.readouterr()
+
+    def test_missing_test_pair_exits_before_the_run_tree(self, split_config, capsys):
+        cfg, path = split_config
+        (Path(cfg.data_dir) / "mnist" / "t10k-labels-idx1-ubyte").unlink()
+        assert main(["train", "--config", str(path)]) == 2
+        assert "use_test_split" in capsys.readouterr().err
+        assert not (Path(cfg.out_dir) / cfg.name).exists()
+
+
+class TestFullScaleRecipe:
+    """README's full-scale recipe goes through the real parser and config
+    reader, so a renamed flag or key breaks it here, not hours into a run."""
+
+    @pytest.mark.parametrize("dataset, l0", [("mnist", 0.9), ("fashion", 0.8)])
+    def test_recipe_config(self, tmp_path, dataset, l0):
+        section = README.read_text().split("\n## Full-scale runs\n")[1].split("\n## ")[0]
+        blocks = re.findall(r"```[a-z]*\n(.*?)```", section, re.S)
+        config_files = {b.split()[1]: b for b in blocks if b.startswith("# ")}
+        commands = [build_parser().parse_args(shlex.split(line)[1:])
+                    for b in blocks for line in b.splitlines() if line.startswith("stdac ")]
+        (args,) = [a for a in commands if a.dataset == dataset]
+        assert args.command == "train"
+        path = tmp_path / args.config
+        path.write_text(config_files[args.config])
+        args.config = str(path)
+        cfg = _build_config(args)
+        assert cfg.use_test_split and cfg.repeats == 10
+        assert cfg.st_layer_count == 2 and cfg.l0 == l0
 
 
 class TestEval:
@@ -165,7 +258,7 @@ class TestEval:
 
 
 class TestViz:
-    def test_st_grid_and_stats_and_curves(self, tiny_config, tmp_path, capsys):
+    def test_st_grid_and_stats(self, tiny_config, tmp_path, capsys):
         cfg, path = tiny_config
         # an ST-bearing checkpoint, saved directly to keep the test quick
         model = Backbone(BackboneConfig(st_layer_count=1, cluster_count=4), seed=1)
@@ -183,12 +276,6 @@ class TestViz:
         assert rc == 0
         assert (viz_dir / "stats_mean.pgm").exists()
         assert (viz_dir / "stats_var_st.pgm").exists()
-
-        assert main(["train", "--config", str(path)]) == 0
-        rc = main(["viz", "--checkpoint", str(ckpt), "--kind", "curves",
-                   "--runs", f"{cfg.out_dir}/cli", "--out", str(viz_dir)])
-        assert rc == 0
-        assert (viz_dir / "acc.svg").exists()
         capsys.readouterr()
 
     def test_st_visuals_need_an_st_model(self, tiny_config, tmp_path, capsys):
@@ -226,14 +313,12 @@ class TestViz:
         assert "--samples" in capsys.readouterr().err
         assert not viz_dir.exists()
 
-    def test_curves_without_csvs_is_error_code(self, tmp_path, capsys):
-        model = Backbone(BackboneConfig(st_layer_count=0, cluster_count=4))
-        ckpt = tmp_path / "m.stdac"
-        save_checkpoint(ckpt, model.state_dict())
-        rc = main(["viz", "--checkpoint", str(ckpt), "--kind", "curves",
-                   "--runs", str(tmp_path / "nothing"),
-                   "--out", str(tmp_path / "viz")])
-        assert rc == 2
+    @pytest.mark.parametrize("argv", [["--kind", "curves"],
+                                      ["--kind", "st", "--runs", "runs/cli"]])
+    def test_curves_are_drawn_by_train_only(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["viz", "--checkpoint", str(tmp_path / "m.stdac"), *argv])
+        assert exit_info.value.code == 2
         capsys.readouterr()
 
 

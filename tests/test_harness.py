@@ -8,6 +8,7 @@ import pytest
 
 from stdac.checkpoint import load_checkpoint
 from stdac.dac import Backbone, BackboneConfig, EpochRecord
+from stdac.dataio import make_synthetic_glyphs, save_idx
 from stdac.errors import ConfigurationError, NoSelectedPairs
 from stdac.harness import (
     ExperimentConfig,
@@ -22,14 +23,13 @@ from stdac.harness import (
     first_st_outputs,
     fmt,
     load_dataset,
-    read_run_csv,
     run_ablation,
     run_experiment,
     write_pgm,
     write_run_csv,
     write_summary_csv,
 )
-from readers import parse_svg_series, read_pgm
+from readers import parse_svg_series, read_pgm, read_run_csv
 
 
 def record(epoch, **overrides):
@@ -319,6 +319,13 @@ class TestDatasetResolution:
         (sub / "train-labels-idx1-ubyte.gz").write_bytes(b"x")
         pair = find_idx_pair(tmp_path, "mnist", "train")
         assert pair is not None and pair[0].name.endswith(".gz")
+
+    def test_find_idx_pair_finds_the_t10k_split(self, tmp_path):
+        sub = tmp_path / "mnist"
+        sub.mkdir()
+        images, labels = sub / "t10k-images-idx3-ubyte", sub / "t10k-labels-idx1-ubyte"
+        save_idx(make_synthetic_glyphs(3, seed=0), images, labels)
+        assert find_idx_pair(tmp_path, "mnist", "t10k") == (images, labels)
 
 
 class TestRunExperiment:
