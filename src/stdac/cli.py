@@ -67,15 +67,17 @@ def _st_counts(text: str) -> tuple[int, ...]:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
 
-    def print_epoch(rec, label=""):
-        print(f"{label}epoch {rec.epoch}: loss {rec.loss:.4f} selected {rec.selected_fraction:.3f} "
-              f"acc {rec.acc:.4f} nmi {rec.nmi:.4f} ari {rec.ari:.4f}", flush=True)
+    def print_epoch(label, rec):
+        prefix = f"{label} " if label else ""
+        print(f"{prefix}epoch {rec.epoch}: loss {rec.loss:.4f} "
+              f"selected {rec.selected_fraction:.3f} acc {rec.acc:.4f} "
+              f"nmi {rec.nmi:.4f} ari {rec.ari:.4f}", flush=True)
 
+    progress = print_epoch if args.verbose else None
     if len(args.st_layers) > 1:
-        progress = (lambda name, rec: print_epoch(rec, f"{name} ")) if args.verbose else None
         results = list(run_ablation(cfg, args.st_layers, progress).values())
     else:
-        results = [run_experiment(cfg, progress=print_epoch if args.verbose else None)]
+        results = [run_experiment(cfg, progress)]
     for result in results:
         print(f"wrote {len(result.run_csvs)} run file(s) and {result.summary_csv}")
         for line in result.summary_csv.read_text().splitlines():

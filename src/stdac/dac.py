@@ -20,7 +20,8 @@ import numpy as np
 from .dataio import AugmentConfig, augment_batch, batch_iterator
 from .errors import ConfigurationError, NoSelectedPairs
 from .metrics import ari, clustering_accuracy, nmi
-from .nn import BatchNorm, Conv2d, Dense, MaxPool, Module, softmax_rows, l2_normalize_rows
+from .nn import (BatchNorm, Conv2d, Dense, Module, bn_relu_pool, l2_normalize_rows,
+                 softmax_rows)
 from .optim import Adam
 from .stn import SpatialTransformer
 from .tensor import Tensor, no_grad
@@ -56,6 +57,16 @@ class Backbone(Module):
     Parameter names depend only on the layer, not on which ST layers exist,
     so two configs sharing a layer initialize it identically from one seed.
     force_identity_theta=True samples every ST layer with the identity theta.
+
+    Each conv block ends in `nn.bn_relu_pool`. In eval mode with no graph
+    recorded it pools the conv output first, then normalizes and rectifies
+    the pooled map. Eval BN then ReLU is a chain of correctly rounded steps,
+    each monotone per channel: rising where gamma >= 0, falling where
+    gamma < 0. So the window max after the chain is the chain applied to the
+    window max of its input, or to the window min where gamma < 0. The
+    features keep every byte of the BN -> ReLU -> pool order but the sign of
+    a zero, which can differ only where a BN beta is exactly -0.0; Adam never
+    makes one from the +0.0 init.
     """
 
     def __init__(self, config: BackboneConfig, seed: int = 0):
@@ -69,7 +80,6 @@ class Backbone(Module):
         self.st2 = SpatialTransformer(s2, 128, "st2", seed) if config.st_layer_count >= 2 else None
         self.st3 = SpatialTransformer(s3, 256, "st3", seed) if config.st_layer_count >= 3 else None
 
-        self.pool = MaxPool(2)
         self.conv1 = Conv2d(3, 3, 1, 64, "block1/conv", seed)
         self.bn1 = BatchNorm(64, "block1/bn")
         self.bnp1 = BatchNorm(64, "block1/pool_bn")
@@ -88,14 +98,11 @@ class Backbone(Module):
         h = x if isinstance(x, Tensor) else Tensor(x)
         if self.st1 is not None:
             h = self.st1(h, identity=force_identity_theta)
-        h = self.bn1(self.conv1(h), train).relu()
-        h = self.bnp1(self.pool(h), train)
-        h = self.bn2(self.conv2(h), train).relu()
-        h = self.bnp2(self.pool(h), train)
+        h = self.bnp1(bn_relu_pool(self.conv1(h), self.bn1, train), train)
+        h = self.bnp2(bn_relu_pool(self.conv2(h), self.bn2, train), train)
         if self.st2 is not None:
             h = self.st2(h, identity=force_identity_theta)
-        h = self.bn3(self.conv3(h), train).relu()
-        h = self.bnp3(self.pool(h), train)
+        h = self.bnp3(bn_relu_pool(self.conv3(h), self.bn3, train), train)
         if self.st3 is not None:
             h = self.st3(h, identity=force_identity_theta)
         h = h.reshape((h.shape[0], -1))

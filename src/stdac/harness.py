@@ -438,7 +438,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     """Train `repeats` times with seeds seed..seed+repeats-1; write one CSV
     and one best-parameters checkpoint per run, then the aggregate summary
     and the per-metric curves. Failures leave completed runs on disk and a
-    manifest note before propagating."""
+    manifest note before propagating. `progress`, if given, is called as
+    progress(label, record) after each epoch; the label names the run
+    ("run2") when there are several repeats and is "" otherwise."""
     return _run_experiment(cfg, load_dataset(cfg), progress)
 
 
@@ -455,9 +457,10 @@ def _run_experiment(cfg: ExperimentConfig, data: ImageSet,
     timings: list[float] = []
     try:
         for i in range(cfg.repeats):
+            label = f"run{i + 1}" if cfg.repeats > 1 else ""
             t0 = time.perf_counter()
-            result = fit(train_settings(cfg, cfg.seed + i), data.images,
-                         data.labels, progress=progress)
+            result = fit(train_settings(cfg, cfg.seed + i), data.images, data.labels,
+                         progress=partial(progress, label) if progress else None)
             timings.append(time.perf_counter() - t0)
             csv_path = base / f"run{i + 1}.csv"
             write_run_csv(csv_path, cfg, result.records)
@@ -486,17 +489,21 @@ def _run_experiment(cfg: ExperimentConfig, data: ImageSet,
                             checkpoints, base)
 
 
+def _prefix_label(progress, name: str, label: str, record: EpochRecord) -> None:
+    progress(f"{name} {label}".rstrip(), record)
+
+
 def run_ablation(cfg: ExperimentConfig, st_counts,
                  progress=None) -> dict[int, ExperimentResult]:
     """The st-layer-count sweep: one experiment per count, all on one load of
     the corpus, plus combined curves (one line per variant) under
-    <out>/<name>-ablation/curves. `progress`, if given, is called as
-    progress(variant_name, record) after each epoch."""
+    <out>/<name>-ablation/curves. `progress` is called as in `run_experiment`,
+    with the variant's name before the label ("cli-st0", "cli-st0 run2")."""
     data = load_dataset(cfg)
     results: dict[int, ExperimentResult] = {}
     for count in st_counts:
         sub = replace(cfg, name=f"{cfg.name}-st{count}", st_layer_count=count)
-        labelled = partial(progress, sub.name) if progress else None
+        labelled = partial(_prefix_label, progress, sub.name) if progress else None
         results[count] = _run_experiment(sub, data, labelled)
     combined = {f"{count} ST": res.run_records[0]
                 for count, res in results.items() if res.run_records}

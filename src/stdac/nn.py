@@ -140,18 +140,8 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
     h, w = x.shape[1:3]
     if h < size or w < size:
         raise ShapeError(f"maxpool2d needs spatial size >= {size}, got {h}x{w}")
-    ho, wo = h // size, w // size
-    hc, wc = ho * size, wo * size
-    # window offsets in row-major order; each strided view holds one offset
-    # of every window
-    offsets = [(i, j) for i in range(size) for j in range(size)]
-
-    def view(a, i, j):
-        return a[:, i:hc:size, j:wc:size, :]
-
-    y = view(x.data, 0, 0).copy()
-    for i, j in offsets[1:]:
-        np.maximum(y, view(x.data, i, j), out=y)
+    hc, wc = (h // size) * size, (w // size) * size
+    y = _pool_windows(np.maximum, x.data, size)
 
     out = Tensor.result(y, "maxpool2d", (x,))
     if out.requires_grad:
@@ -161,15 +151,32 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
             dx[:, hc:] = 0.0
             dx[:, :, wc:] = 0.0
             taken = np.zeros(y.shape, dtype=bool)
-            for i, j in offsets:
-                hit = view(x.data, i, j) == y
+            for xv, dxv in zip(_windows(x.data, size), _windows(dx, size)):
+                hit = xv == y
                 np.greater(hit, taken, out=hit)     # hit and not taken yet
                 taken |= hit
                 # g * False is -0.0 where g < 0; accumulate_grad adds it as +0.0
-                np.multiply(g, hit, out=view(dx, i, j))
+                np.multiply(g, hit, out=dxv)
             x.accumulate_grad(dx)
         out._backward = bwd
     return out
+
+
+def _windows(a: np.ndarray, size: int) -> list[np.ndarray]:
+    """Strided views of an NHWC array, one per window offset in row-major
+    order, each holding that offset of every non-overlapping window; the
+    rows and columns that do not fill a window are cropped."""
+    hc, wc = (a.shape[1] // size) * size, (a.shape[2] // size) * size
+    return [a[:, i:hc:size, j:wc:size, :] for i in range(size) for j in range(size)]
+
+
+def _pool_windows(reduce, a: np.ndarray, size: int) -> np.ndarray:
+    """`reduce` (np.maximum or np.minimum) over each window, in offset order."""
+    first, *rest = _windows(a, size)
+    y = first.copy()
+    for v in rest:
+        reduce(y, v, out=y)
+    return y
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -376,3 +383,21 @@ class MaxPool(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return maxpool2d(x, self.size)
+
+
+def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool, size: int = 2) -> Tensor:
+    """`maxpool2d(bn(x, train).relu(), size)`, the tail of a conv block.
+
+    Eval mode with no graph recorded pools x first, by the window minimum in
+    the channels where gamma < 0, then normalizes and rectifies the pooled
+    map; `dac.Backbone` says why the bytes stay the same. Every other call
+    keeps the order above, so gradients route to the first maximum after the
+    ReLU.
+    """
+    if train or grad_enabled():
+        return maxpool2d(bn(x, train).relu(), size)
+    pooled = maxpool2d(x, size)
+    falling = bn.gamma.data < 0
+    if falling.any():
+        np.copyto(pooled.data, _pool_windows(np.minimum, x.data, size), where=falling)
+    return bn(pooled, False).relu()

@@ -46,7 +46,13 @@ def affine_grid(theta: Tensor, out_h: int, out_w: int) -> Tensor:
     target[:, :, 1] = ys[:, None]
     target[:, :, 2] = 1.0
 
-    grid = np.einsum("nrc,hwc->nhwr", theta.data, target)
+    # x-term, then the shift, then the y-term: the order in which
+    # np.einsum("nrc,hwc->nhwr") sums the three products, so the same bits
+    t = theta.data[:, None, None, :, :]         # (n, 1, 1, 2, 3)
+    grid = np.empty((len(t), out_h, out_w, 2))
+    np.multiply(t[..., 0], xs[:, None], out=grid)
+    grid += t[..., 2]
+    grid += t[..., 1] * ys[:, None, None]
     out = Tensor.result(grid, "affine_grid", (theta,))
     if out.requires_grad:
         def bwd(g):

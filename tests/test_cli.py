@@ -146,6 +146,22 @@ class TestSweep:
         assert [l.split()[0] for l in epoch_lines(["--st-layers", "1,0"])] == [
             "cli-st1", "cli-st0"]
 
+    def test_epoch_lines_name_their_repeat(self, tiny_config, capsys):
+        _, path = tiny_config
+
+        def epoch_lines(argv):
+            assert main(["train", "--config", str(path), "--verbose", *argv]) == 0
+            return [l for l in capsys.readouterr().out.splitlines() if "epoch 1:" in l]
+
+        (single,) = epoch_lines([])
+        assert single.startswith("epoch 1: loss ")
+        path.write_text(path.read_text() + "repeats=2\n")
+        first, second = epoch_lines([])
+        assert first == f"run1 {single}"
+        assert second.startswith("run2 epoch 1: loss ")
+        assert [l.split()[:2] for l in epoch_lines(["--st-layers", "0,1"])] == [
+            ["cli-st0", "run1"], ["cli-st0", "run2"], ["cli-st1", "run1"], ["cli-st1", "run2"]]
+
 
 class TestTestSplit:
     @pytest.fixture

@@ -90,6 +90,41 @@ class TestBackbone:
         np.testing.assert_allclose(chunked, direct, rtol=0, atol=1e-12)
 
 
+class TestEvalPoolsFirst:
+    """`predict_features` pools each conv block before its BN and ReLU; the
+    features must carry the bytes of the BN -> ReLU -> pool order, which an
+    eval forward that records a graph still runs."""
+
+    @staticmethod
+    def perturbed(model, seed):
+        """Mixed-sign gamma with some zeros in the conv blocks, nonzero
+        running statistics in every BN."""
+        rng = np.random.default_rng(seed)
+        for name, bn in vars(model).items():
+            if not name.startswith(("bn", "fc_bn", "head_bn")):
+                continue
+            c = bn.gamma.size
+            if name in ("bn1", "bn2", "bn3"):
+                bn.gamma.data[:] = rng.normal(size=c)
+                bn.gamma.data[::5] = 0.0
+                bn.beta.data[:] = rng.normal(scale=0.1, size=c)
+            bn.running_mean[:] = rng.normal(scale=0.1, size=c)
+            bn.running_var[:] = rng.random(c) + 0.5
+
+    @pytest.mark.parametrize("perturb", [False, True], ids=["init", "mixed-gamma"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_same_bytes_as_the_graph_order(self, count, perturb):
+        images = make_synthetic_glyphs(13, seed=count, classes=4).images
+        model = Backbone(BackboneConfig(st_layer_count=count, cluster_count=4), seed=4)
+        if perturb:
+            self.perturbed(model, count)
+            assert (model.bn2.gamma.data < 0).any() and (model.bn2.gamma.data == 0).any()
+        want = model(Tensor(images), train=False).data
+        got = predict_features(model, images)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
+
+
 class TestPairwiseSimilarity:
     def test_one_hot_rows(self):
         f = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

@@ -9,7 +9,7 @@ from stdac import nn
 from stdac.errors import ConfigurationError, ShapeError
 from stdac.gradcheck import gradcheck
 from stdac.optim import Adam
-from stdac.tensor import Tensor
+from stdac.tensor import Tensor, no_grad
 
 
 def conv2d_loops(x, k, b, padding):
@@ -221,6 +221,55 @@ class TestBatchNorm:
         w = rng.random((3, 2))
         gradcheck(lambda *t: (nn.batch_norm(*t, rm, rv, train=False) * w).sum(),
                   (x, g, b))
+
+
+def mixed_bn(rng, c):
+    """A BatchNorm with mixed-sign gamma, some gamma == 0 and nonzero running
+    statistics."""
+    bn = nn.BatchNorm(c, "bn")
+    bn.gamma.data[:] = rng.normal(size=c)
+    bn.gamma.data[::3] = 0.0
+    bn.beta.data[:] = rng.normal(size=c)
+    bn.running_mean[:] = rng.normal(size=c)
+    bn.running_var[:] = rng.random(c) + 0.5
+    assert (bn.gamma.data < 0).any() and (bn.gamma.data > 0).any()
+    return bn
+
+
+class TestBnReluPool:
+    """Eval without a graph pools first; every other mode keeps
+    BN -> ReLU -> pool, whose gradients route to the first maximum after the
+    ReLU."""
+
+    @staticmethod
+    def graph_order(x, bn, train):
+        return nn.maxpool2d(bn(x, train).relu())
+
+    @pytest.mark.parametrize("shape", [(3, 6, 6, 7), (2, 7, 5, 7)])
+    def test_eval_without_graph_same_bytes(self, shape, rng):
+        bn = mixed_bn(rng, shape[-1])
+        # integer values: many windows tie, and many pixels rectify to zero
+        for x in (rng.normal(size=shape), rng.integers(-2, 3, size=shape) * 1.0):
+            want = self.graph_order(Tensor(x), bn, False).data
+            with no_grad():
+                got = nn.bn_relu_pool(Tensor(x), bn, False).data
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_graph_recording_keeps_the_order(self, train, rng):
+        bn = mixed_bn(rng, 5)
+        x = rng.integers(-2, 3, size=(4, 6, 6, 5)) * 1.0
+        g = rng.normal(size=(4, 3, 3, 5))
+        results = []
+        for op in (nn.bn_relu_pool, self.graph_order):
+            for p in bn.params():
+                p.grad = None
+            xt = Tensor(x, requires_grad=True)
+            y = op(xt, bn, train)
+            (y * g).sum().backward()
+            results.append([y.data, xt.grad, bn.gamma.grad, bn.beta.grad])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestInit:

@@ -45,3 +45,19 @@ def test_tracer_counts_and_times_backward(monkeypatch):
         "stn.affine_grid.bwd": 1, "stn.bilinear_sample.bwd": 1}
     assert t.calls["tensor.accumulate_grad"] == 95
     assert t.self_s["nn.conv2d.bwd"] > 0.0
+
+
+def test_tracer_sees_the_eval_ops(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    data = make_synthetic_glyphs(6, seed=3, classes=4)
+    model = dac.Backbone(dac.BackboneConfig(st_layer_count=1, cluster_count=4), seed=1)
+    with tracer.Tracer() as t:
+        dac.evaluate(model, data.images, data.labels)
+    # eight BNs; three backbone pools plus the locnet's two
+    assert t.calls["nn.batch_norm.fwd"] == 8
+    assert t.calls["nn.maxpool2d.fwd"] == 5
+    assert t.self_s["nn.batch_norm.fwd"] > 0.0 and t.self_s["nn.maxpool2d.fwd"] > 0.0
+    # each conv block's BN reads the pooled map, as its pool BN does
+    pooled = 2 * (14 * 14 * 64 + 7 * 7 * 128 + 3 * 3 * 256) + 3096 + 4
+    assert t.counts["nn.batch_norm.bytes"] == 16 * 6 * pooled

@@ -54,6 +54,18 @@ class TestAffineGrid:
                     expect = theta[n] @ np.array([xs[j], ys[i], 1.0])
                     np.testing.assert_allclose(g[n, i, j], expect)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 256])
+    def test_forward_bits_match_einsum(self, n, rng):
+        theta = rng.normal(size=(n, 2, 3))
+        for h in (1, 2, 3, 5, 7, 28):
+            for w in (1, 2, 3, 5, 7, 28):
+                target = np.empty((h, w, 3))
+                target[:, :, 0] = np.linspace(-1.0, 1.0, w)[None, :]
+                target[:, :, 1] = np.linspace(-1.0, 1.0, h)[:, None]
+                target[:, :, 2] = 1.0
+                want = np.einsum("nrc,hwc->nhwr", theta, target)
+                assert affine_grid(Tensor(theta), h, w).data.tobytes() == want.tobytes()
+
     def test_gradcheck_theta(self, rng):
         theta = Tensor(rng.normal(size=(2, 2, 3)) * 0.3, requires_grad=True)
         w = rng.normal(size=(2, 3, 4, 2))
