@@ -385,8 +385,8 @@ class MaxPool(Module):
         return maxpool2d(x, self.size)
 
 
-def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool, size: int = 2) -> Tensor:
-    """`maxpool2d(bn(x, train).relu(), size)`, the tail of a conv block.
+def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
+    """`maxpool2d(bn(x, train).relu())`, the tail of a conv block.
 
     Eval mode with no graph recorded pools x first, by the window minimum in
     the channels where gamma < 0, then normalizes and rectifies the pooled
@@ -395,9 +395,9 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool, size: int = 2) -> Tensor
     ReLU.
     """
     if train or grad_enabled():
-        return maxpool2d(bn(x, train).relu(), size)
-    pooled = maxpool2d(x, size)
+        return maxpool2d(bn(x, train).relu())
+    pooled = maxpool2d(x)
     falling = bn.gamma.data < 0
     if falling.any():
-        np.copyto(pooled.data, _pool_windows(np.minimum, x.data, size), where=falling)
+        np.copyto(pooled.data, _pool_windows(np.minimum, x.data, 2), where=falling)
     return bn(pooled, False).relu()

@@ -41,14 +41,10 @@ def affine_grid(theta: Tensor, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"theta must be (n, 2, 3), got {theta.shape}")
     xs = np.linspace(-1.0, 1.0, out_w)
     ys = np.linspace(-1.0, 1.0, out_h)
-    target = np.empty((out_h, out_w, 3))
-    target[:, :, 0] = xs[None, :]
-    target[:, :, 1] = ys[:, None]
-    target[:, :, 2] = 1.0
+    t = theta.data[:, None, None, :, :]         # (n, 1, 1, 2, 3)
 
     # x-term, then the shift, then the y-term: the order in which
     # np.einsum("nrc,hwc->nhwr") sums the three products, so the same bits
-    t = theta.data[:, None, None, :, :]         # (n, 1, 1, 2, 3)
     grid = np.empty((len(t), out_h, out_w, 2))
     np.multiply(t[..., 0], xs[:, None], out=grid)
     grid += t[..., 2]
@@ -56,6 +52,10 @@ def affine_grid(theta: Tensor, out_h: int, out_w: int) -> Tensor:
     out = Tensor.result(grid, "affine_grid", (theta,))
     if out.requires_grad:
         def bwd(g):
+            target = np.empty((out_h, out_w, 3))
+            target[:, :, 0] = xs[None, :]
+            target[:, :, 1] = ys[:, None]
+            target[:, :, 2] = 1.0
             theta.accumulate_grad(np.einsum("nhwr,hwc->nrc", g, target))
         out._backward = bwd
     return out
