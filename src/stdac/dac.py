@@ -58,15 +58,18 @@ class Backbone(Module):
     so two configs sharing a layer initialize it identically from one seed.
     force_identity_theta=True samples every ST layer with the identity theta.
 
-    Each conv block ends in `nn.bn_relu_pool`. In eval mode with no graph
-    recorded it pools the conv output first, then normalizes and rectifies
-    the pooled map. Eval BN then ReLU is a chain of correctly rounded steps,
-    each monotone per channel: rising where gamma >= 0, falling where
-    gamma < 0. So the window max after the chain is the chain applied to the
-    window max of its input, or to the window min where gamma < 0. The
-    features keep every byte of the BN -> ReLU -> pool order but the sign of
-    a zero, which can differ only where a BN beta is exactly -0.0; Adam never
-    makes one from the +0.0 init.
+    Each conv block ends in `nn.bn_relu_pool`. With a graph recorded it
+    pools the BN output and then rectifies the pooled map: max commutes with
+    ReLU, which maps every value <= 0 to +0.0, so values and gradients keep
+    their bytes (the helper's docstring gives the gradient argument). In
+    eval mode with no graph recorded it pools the conv output first, then
+    normalizes and rectifies the pooled map. Eval BN then ReLU is a chain of
+    correctly rounded steps, each monotone per channel: rising where
+    gamma >= 0, falling where gamma < 0. So the window max after the chain
+    is the chain applied to the window max of its input, or to the window
+    min where gamma < 0. The features keep every byte of the BN -> ReLU ->
+    pool order but the sign of a zero, which can differ only where a BN beta
+    is exactly -0.0; Adam never makes one from the +0.0 init.
     """
 
     def __init__(self, config: BackboneConfig, seed: int = 0):

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, ShapeError
-from .tensor import Tensor, grad_enabled
+from .tensor import Tensor, both, grad_enabled
 
 # ---------------------------------------------------------------------------
 # parameters and initialization
@@ -87,11 +87,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
         raise ConfigurationError(f"unknown padding mode: {padding!r}")
 
     ho, wo = h + pt + pb - kh + 1, w + pl + pr - kw + 1
+    xd = x.data
 
     def im2col():
         # rows are output pixels, columns run (i, j, c_in); the reshape of
         # the strided window view of the padded input is the one copy
-        xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
         return (np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
                 .transpose(0, 1, 2, 4, 5, 3)
                 .reshape(n * ho * wo, kh * kw * c_in))
@@ -105,20 +106,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
     if out.requires_grad:
         def bwd(g):
             g2 = g.reshape(n * ho * wo, c_out)
-            if kernel.requires_grad:
+
+            def kernel_grad():
                 # the columns are rebuilt from x rather than cached: kh*kw
                 # times the input per conv would otherwise stay alive from
                 # forward to backward (about 175 MB of a batch-128 graph),
                 # and the same copy of the same values keeps dW's bits
-                kernel.accumulate_grad((im2col().T @ g2).reshape(kernel.shape))
-            if bias.requires_grad:
-                bias.accumulate_grad(g2.sum(axis=0))
-            if x.requires_grad:
+                return (im2col().T @ g2).reshape(kh, kw, c_in, c_out)
+
+            def input_grad():
                 dcols = (g2 @ wmat.T).reshape(n, ho, wo, kh, kw, c_in)
                 # col2im into the unpadded dx: offset (i, j) covers padded
                 # rows i..i+ho and columns j..j+wo, clipped to the crop at
                 # (pt, pl); each element gets its additions in (i, j) order
-                dx = np.zeros(x.shape)
+                dx = np.zeros(xd.shape)
                 for i in range(kh):
                     r0, r1 = max(i, pt), min(i + ho, pt + h)
                     for j in range(kw):
@@ -126,6 +127,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
                         if r0 < r1 and c0 < c1:
                             dx[:, r0 - pt:r1 - pt, c0 - pl:c1 - pl, :] += \
                                 dcols[:, r0 - i:r1 - i, c0 - j:c1 - j, i, j, :]
+                return dx
+
+            # the kernel gradient runs on the side thread beside the input's
+            dk, dx = both(kernel_grad if kernel.requires_grad else None,
+                          input_grad if x.requires_grad else None)
+            if kernel.requires_grad:
+                kernel.accumulate_grad(dk)
+            if bias.requires_grad:
+                bias.accumulate_grad(g2.sum(axis=0))
+            if x.requires_grad:
                 x.accumulate_grad(dx)
         out._backward = bwd
     return out
@@ -241,10 +252,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= BN_MOMENTUM
         running_var += (1.0 - BN_MOMENTUM) * var
     else:
-        mu, var = running_mean, running_var
-        xc = x.data - mu
-        # eval backward reads xhat only for gamma's gradient; else y overwrites it
-        ybuf = None if gamma.requires_grad and grad_enabled() else xc
+        # a copy: a later train-mode call may update the buffer before backward
+        mu, var = running_mean.copy(), running_var
+        xc = ybuf = x.data - mu
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = xc
@@ -256,6 +266,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         def bwd(g):
             x_train = x.requires_grad and train
             if gamma.requires_grad or x_train:
+                # xhat again, with forward's two roundings: the graph keeps
+                # C floats of mu and inv_std, not an input-sized array
+                xhat = x.data - mu
+                xhat *= inv_std
                 gxhat = g * xhat
                 gx = gxhat.sum(axis=axes)
                 if gamma.requires_grad:
@@ -265,9 +279,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                 if beta.requires_grad:
                     beta.accumulate_grad(gsum)
             if x_train:
-                # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std), in place
-                dx = g - gsum / m
-                dx -= np.multiply(xhat, gx / m, out=gxhat)
+                # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std), in the
+                # buffers of gxhat and then xhat
+                np.multiply(xhat, gx / m, out=gxhat)
+                dx = np.subtract(g, gsum / m, out=xhat)
+                dx -= gxhat
                 dx *= gamma.data * inv_std
                 x.accumulate_grad(dx)
             elif x.requires_grad:
@@ -386,16 +402,21 @@ class MaxPool(Module):
 
 
 def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
-    """`maxpool2d(bn(x, train).relu())`, the tail of a conv block.
+    """`maxpool2d(bn(x, train).relu())`, the tail of a conv block, computed
+    with the ReLU after the pool.
 
+    With a graph recorded, in either mode, it runs
+    `maxpool2d(bn(x, train)).relu()`: max commutes with ReLU, so the values
+    are the same, and so are the gradients. Where a window's maximum is > 0
+    the gradient goes to the first maximum of the BN output in both orders;
+    where it is <= 0 it is +0.0 everywhere, since `accumulate_grad` adds a
+    -0.0 as +0.0. The graph then holds no full-size ReLU output or mask.
     Eval mode with no graph recorded pools x first, by the window minimum in
     the channels where gamma < 0, then normalizes and rectifies the pooled
-    map; `dac.Backbone` says why the bytes stay the same. Every other call
-    keeps the order above, so gradients route to the first maximum after the
-    ReLU.
+    map; `dac.Backbone` says why the bytes stay the same.
     """
     if train or grad_enabled():
-        return maxpool2d(bn(x, train).relu())
+        return maxpool2d(bn(x, train)).relu()
     pooled = maxpool2d(x)
     falling = bn.gamma.data < 0
     if falling.any():

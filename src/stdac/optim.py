@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import Parameter
+from .tensor import both
 
 # Elements per update block: the four arrays and two scratch blocks of one
 # block (6 x 256 KB) stay in L2 while the update makes its passes over them.
@@ -33,33 +34,42 @@ class Adam:
 
         Per element it is m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*(g*g),
         p <- p - lr*(m/b1t) / (sqrt(v/b2t) + eps), each product and quotient
-        rounded in that order, so the bits do not depend on the block size.
+        rounded in that order, so the bits do not depend on the block size
+        or on which thread updates a block: the first half of the blocks runs
+        on the side thread (`tensor.both`), the second half here.
         """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        a = np.empty(BLOCK)
-        b = np.empty(BLOCK)
+        blocks = []
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             # Parameters are C-contiguous, so these are views of p.data, m, v
             flat = [arr.reshape(-1) for arr in (p.data, m, v, p.grad)]
-            for lo in range(0, p.size, BLOCK):
-                pb, mb, vb, gb = (arr[lo:lo + BLOCK] for arr in flat)
-                ab, bb = a[:len(pb)], b[:len(pb)]
-                mb *= self.beta1
-                mb += np.multiply(1.0 - self.beta1, gb, out=ab)
-                vb *= self.beta2
-                np.multiply(gb, gb, out=ab)
-                vb += np.multiply(1.0 - self.beta2, ab, out=ab)
-                np.divide(mb, b1t, out=ab)
-                np.multiply(self.lr, ab, out=ab)
-                np.divide(vb, b2t, out=bb)
-                np.sqrt(bb, out=bb)
-                bb += self.eps
-                ab /= bb
-                pb -= ab
+            blocks += [[arr[lo:lo + BLOCK] for arr in flat] for lo in range(0, p.size, BLOCK)]
+        half = len(blocks) // 2
+        both(lambda: self._update(blocks[:half], b1t, b2t),
+             lambda: self._update(blocks[half:], b1t, b2t))
+
+    def _update(self, blocks, b1t, b2t):
+        """Adam on (p, m, v, g) blocks, with two scratch blocks of its own."""
+        a = np.empty(BLOCK)
+        b = np.empty(BLOCK)
+        for pb, mb, vb, gb in blocks:
+            ab, bb = a[:len(pb)], b[:len(pb)]
+            mb *= self.beta1
+            mb += np.multiply(1.0 - self.beta1, gb, out=ab)
+            vb *= self.beta2
+            np.multiply(gb, gb, out=ab)
+            vb += np.multiply(1.0 - self.beta2, ab, out=ab)
+            np.divide(mb, b1t, out=ab)
+            np.multiply(self.lr, ab, out=ab)
+            np.divide(vb, b2t, out=bb)
+            np.sqrt(bb, out=bb)
+            bb += self.eps
+            ab /= bb
+            pb -= ab
 
     def zero_grad(self):
         for p in self.params:

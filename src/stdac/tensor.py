@@ -8,8 +8,27 @@ go, so the closure's cached arrays die layer by layer. A second backward that
 reaches a released node raises `GraphReleased`. Leaf gradients accumulate
 additively until cleared, so backward calls on separate graphs sum there.
 
-Everything is float64 and single-threaded apart from BLAS matmul, whose
-reduction order is fixed for a given shape, keeping runs bit-reproducible.
+Everything is float64. Importing this module sets every loaded OpenBLAS to
+one thread through the library's `*_set_num_threads`: its multi-thread GEMMs
+round in another order than its one-thread ones, so the bytes of a run would
+otherwise depend on the machine's core count. With another BLAS, or none
+found, nothing changes.
+
+A training step still uses two cores. The module owns one side thread, and
+`both(f, g)` runs `f()` on it while the caller runs `g()`. A backward op
+hands it one of two calls that do not depend on each other, with the same
+arguments it would pass inline, so each result keeps its bits: `conv2d`'s
+kernel gradient beside its input gradient, `matmul`'s right-hand gradient
+beside its left-hand one, and one half of `Adam.step`'s blocks beside the
+other. The split is fixed at two threads, not read from the core count. The
+rules:
+  - the side thread does NumPy array work only, in closures over arrays
+    and `Adam._update`; it never touches a Tensor, the graph,
+    `accumulate_grad` or any public stdac function, so whatever wraps those
+    (a tracer, say) sees every call on the caller's thread;
+  - gradients are accumulated on the caller, in the order the op names its
+    inputs;
+  - an exception on the side thread is raised again in the caller.
 
 Allocator policy: the sweep frees about 700 MB of arrays per training step
 that the next forward allocates again. By default glibc hands every block
@@ -17,15 +36,19 @@ above its mmap threshold back to the OS and maps it afresh, which costs tens
 of thousands of page faults per step. Importing this module therefore asks
 glibc's `mallopt`, for this process only, to serve blocks up to 256 MiB from
 the heap and never to trim it, so a step reuses the memory the last one
-freed. One-off blocks above 256 MiB, such as a full corpus, are still mapped
-and returned. With a libc other than glibc nothing changes.
+freed, and to keep one heap, so the side thread allocates from it too.
+One-off blocks above 256 MiB, such as a full corpus, are still mapped and
+returned.
+With a libc other than glibc nothing changes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-from typing import Iterable
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,6 +57,7 @@ from .errors import GradientNaN, GraphReleased, ShapeError
 # glibc mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory() -> None:
@@ -48,9 +72,62 @@ def _keep_freed_memory() -> None:
     # evaluation batch 256: 220.5 MiB
     mallopt(_M_MMAP_THRESHOLD, 256 << 20)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def _one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread (see the module docstring)."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes = (ctypes.c_int,)
+                fn.restype = None
+                fn(1)
+                break
 
 
 _keep_freed_memory()
+_one_blas_thread()
+
+
+def _new_side_thread() -> None:
+    """The one side thread (see the module docstring). A forked child gets a
+    new one: it inherits the executor but not its thread, and would wait for
+    that thread forever."""
+    global _side
+    _side = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stdac-side")
+
+
+_new_side_thread()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_side_thread)
+
+
+def both(f: Callable | None, g: Callable | None) -> tuple:
+    """(f(), g()), with f() on the side thread while g() runs here. A None in
+    place of either gives None, and a lone call runs here. If g() raises, f()
+    is waited for first, so no side work outlives the call."""
+    if f is None or g is None:
+        return (None if f is None else f()), (None if g is None else g())
+    side = _side.submit(f)
+    try:
+        here = g()
+    except BaseException:
+        side.exception()    # waits for f(); g()'s exception is the one raised
+        raise
+    return side.result(), here
+
 
 _grad_enabled = True
 
@@ -274,11 +351,16 @@ class Tensor:
                 f"vs {other.shape[0]} (rhs axis 0)")
         out = Tensor.result(self.data @ other.data, "matmul", (self, other))
         if out.requires_grad:
+            a, b = self.data, other.data
+
             def bwd(g):
+                # the right-hand gradient runs on the side thread
+                d_other, d_self = both((lambda: a.T @ g) if other.requires_grad else None,
+                                       (lambda: g @ b.T) if self.requires_grad else None)
                 if self.requires_grad:
-                    self.accumulate_grad(g @ other.data.T)
+                    self.accumulate_grad(d_self)
                 if other.requires_grad:
-                    other.accumulate_grad(self.data.T @ g)
+                    other.accumulate_grad(d_other)
             out._backward = bwd
         return out
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import mnist_dir, record_criterion
+from oracles import brute_force_accuracy, direct_entropy_nmi, pair_counting_ari
 from stdac.dac import (
     Backbone,
     BackboneConfig,
@@ -30,14 +31,7 @@ from stdac.dac import (
 from stdac.dataio import AugmentConfig, load_idx, make_synthetic_glyphs, read_idx, write_idx
 from stdac.gradcheck import gradcheck
 from stdac.harness import ExperimentConfig, config_from_text, find_idx_pair, run_experiment
-from stdac.metrics import (
-    ari,
-    brute_force_accuracy,
-    clustering_accuracy,
-    direct_entropy_nmi,
-    nmi,
-    pair_counting_ari,
-)
+from stdac.metrics import ari, clustering_accuracy, nmi
 from stdac.nn import batch_norm, conv2d, dense, softmax_rows
 from stdac.stn import affine_grid, bilinear_sample
 from stdac.tensor import Tensor

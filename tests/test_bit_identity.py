@@ -1,11 +1,13 @@
 """The in-place hot-path ops against the reference implementations in
 `reference_ops`: every output, gradient and buffer must carry the same bits."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 import reference_ops as ref
-from stdac import nn, stn
+from stdac import nn, stn, tensor
 from stdac.dac import Backbone, BackboneConfig, ThresholdSchedule, train_epoch
 from stdac.dataio import AugmentConfig, make_synthetic_glyphs
 from stdac.optim import BLOCK, Adam
@@ -235,6 +237,73 @@ def test_training_steps_match_reference_ops(monkeypatch):
         ref.install(patch)
         stats_ref, state_ref, opt_ref = train()
     assert opt.t == opt_ref.t == 3
+    assert stats == stats_ref
+    assert state.keys() == state_ref.keys()
+    for name in state:
+        assert_same_bits(state[name], state_ref[name])
+    for got, want in zip(opt.m + opt.v, opt_ref.m + opt_ref.v):
+        assert_same_bits(got, want)
+
+
+class Inline:
+    """Stands in for the side thread's executor: runs each call at once, on
+    the caller."""
+
+    def submit(self, fn):
+        done = Future()
+        try:
+            done.set_result(fn())
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+
+class TestSideThreadAtRealShapes:
+    """The side thread runs the same NumPy calls as an inline run, so at the
+    batch-128 shapes of block2, block3 and fc every gradient keeps its bits."""
+
+    @pytest.mark.parametrize("x_shape, k_shape", [((128, 14, 14, 64), (3, 3, 64, 128)),
+                                                  ((128, 7, 7, 128), (3, 3, 128, 256))])
+    def test_conv2d(self, x_shape, k_shape, monkeypatch, rng):
+        arrays = [rng.normal(size=x_shape), rng.normal(size=k_shape),
+                  rng.normal(size=k_shape[-1])]
+        y, grads = run_op(nn.conv2d, arrays, 7)
+        monkeypatch.setattr(tensor, "_side", Inline())
+        y_inline, grads_inline = run_op(nn.conv2d, arrays, 7)
+        assert_same_bits(y, y_inline)
+        for got, want in zip(grads, grads_inline):
+            assert_same_bits(got, want)
+
+    def test_matmul(self, monkeypatch, rng):
+        arrays = [rng.normal(size=(128, 2304)), rng.normal(size=(2304, 3096))]
+        y, grads = run_op(Tensor.matmul, arrays, 8)
+        monkeypatch.setattr(tensor, "_side", Inline())
+        y_inline, grads_inline = run_op(Tensor.matmul, arrays, 8)
+        assert_same_bits(y, y_inline)
+        for got, want in zip(grads, grads_inline):
+            assert_same_bits(got, want)
+
+
+def test_batch_128_steps_match_inline_reference_ops(monkeypatch):
+    """Two augmented 3-ST steps at batch 128, once on the optimized ops with
+    the side thread and once on the reference ops with every side call run
+    inline: losses, parameters, BN buffers and Adam moments keep their bits."""
+    images = make_synthetic_glyphs(256, seed=5).images
+
+    def train():
+        model = Backbone(BackboneConfig(st_layer_count=3), seed=2)
+        opt = Adam(model.params())
+        stats = [train_epoch(model, images[i * 128:(i + 1) * 128], ThresholdSchedule(), opt,
+                             batch_size=128, seed=3, epoch=i + 1, augment=AugmentConfig())
+                 for i in range(2)]
+        return stats, model.state_dict(), opt
+
+    stats, state, opt = train()
+    with monkeypatch.context() as patch:
+        ref.install(patch)
+        patch.setattr(tensor, "_side", Inline())
+        stats_ref, state_ref, opt_ref = train()
+    assert opt.t == opt_ref.t == 2
     assert stats == stats_ref
     assert state.keys() == state_ref.keys()
     for name in state:

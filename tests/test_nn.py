@@ -222,6 +222,21 @@ class TestBatchNorm:
         gradcheck(lambda *t: (nn.batch_norm(*t, rm, rv, train=False) * w).sum(),
                   (x, g, b))
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_graph_holds_no_normalized_copy(self, train, rng):
+        # backward recomputes xhat from x, mu and inv_std, so forward leaves
+        # only y and C-float vectors alive
+        x = Tensor(rng.normal(size=(8, 16, 16, 32)), requires_grad=True)
+        g, b = Tensor(np.ones(32), requires_grad=True), Tensor(np.zeros(32), requires_grad=True)
+        rm, rv = np.zeros(32), np.ones(32)
+        tracemalloc.start()
+        try:
+            y = nn.batch_norm(x, g, b, rm, rv, train=train)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * y.data.nbytes, (held, y.data.nbytes)
+
 
 def mixed_bn(rng, c):
     """A BatchNorm with mixed-sign gamma, some gamma == 0 and nonzero running
@@ -268,6 +283,29 @@ class TestBnReluPool:
             y = op(xt, bn, train)
             (y * g).sum().backward()
             results.append([y.data, xt.grad, bn.gamma.grad, bn.beta.grad])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_ties_and_windows_at_or_below_zero(self, train, rng):
+        # a pooled value <= 0 rectifies to +0.0 in either order, and its
+        # gradient, negative here in places, must reach x as +0.0 everywhere
+        bn = mixed_bn(rng, 6)
+        bn.beta.data[0] = -abs(bn.beta.data[0])     # gamma 0: every window < 0
+        bn.beta.data[3] = 0.0                        # gamma 0: every window ties at 0
+        x = rng.integers(-1, 1, size=(4, 6, 6, 6)) * 1.0
+        g = rng.normal(size=(4, 3, 3, 6))
+        results = []
+        for op in (nn.bn_relu_pool, self.graph_order):
+            for p in bn.params():
+                p.grad = None
+            xt = Tensor(x, requires_grad=True)
+            y = op(xt, bn, train)
+            (y * g).sum().backward()
+            results.append([y.data, xt.grad, bn.gamma.grad, bn.beta.grad])
+        pooled = nn.maxpool2d(bn(Tensor(x), train)).data
+        assert ((pooled <= 0) & (g < 0)).any() and (pooled > 0).any()
+        assert not np.signbit(results[0][0]).any()
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
 
