@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, ShapeError
-from .tensor import Tensor, both, grad_enabled
+from .tensor import Tensor, both, grad_enabled, split_rows
 
 # ---------------------------------------------------------------------------
 # parameters and initialization
@@ -87,19 +87,28 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
         raise ConfigurationError(f"unknown padding mode: {padding!r}")
 
     ho, wo = h + pt + pb - kh + 1, w + pl + pr - kw + 1
+    pixels, depth = ho * wo, kh * kw * c_in
     xd = x.data
 
-    def im2col():
-        # rows are output pixels, columns run (i, j, c_in); the reshape of
-        # the strided window view of the padded input is the one copy
-        xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    def im2col(lo, hi):
+        # the columns of images lo..hi: rows are output pixels, columns run
+        # (i, j, c_in); the reshape of the strided window view of the padded
+        # input is the one copy
+        xp = np.pad(xd[lo:hi], ((0, 0), (pt, pb), (pl, pr), (0, 0)))
         return (np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
                 .transpose(0, 1, 2, 4, 5, 3)
-                .reshape(n * ho * wo, kh * kw * c_in))
+                .reshape((hi - lo) * pixels, depth))
 
-    wmat = kernel.data.reshape(kh * kw * c_in, c_out)
-    y = im2col() @ wmat
-    y += bias.data
+    wmat = kernel.data.reshape(depth, c_out)
+    y = np.empty((n * pixels, c_out))
+
+    def forward(lo, hi):
+        # each half's padded input and columns die with this call
+        rows = y[lo * pixels:hi * pixels]
+        np.matmul(im2col(lo, hi), wmat, out=rows)
+        rows += bias.data
+
+    split_rows(n, pixels * depth * c_out, forward)
     y = y.reshape(n, ho, wo, c_out)
 
     out = Tensor.result(y, "conv2d", (x, kernel, bias))
@@ -111,8 +120,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
                 # the columns are rebuilt from x rather than cached: kh*kw
                 # times the input per conv would otherwise stay alive from
                 # forward to backward (about 175 MB of a batch-128 graph),
-                # and the same copy of the same values keeps dW's bits
-                return (im2col().T @ g2).reshape(kh, kw, c_in, c_out)
+                # and the same copy of the same values keeps dW's bits. The
+                # GEMM sums over the rows, so it is not split.
+                return (im2col(0, n).T @ g2).reshape(kh, kw, c_in, c_out)
 
             def input_grad():
                 dcols = (g2 @ wmat.T).reshape(n, ho, wo, kh, kw, c_in)
@@ -265,20 +275,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if out.requires_grad:
         def bwd(g):
             x_train = x.requires_grad and train
-            if gamma.requires_grad or x_train:
+
+            def xhat_and_gx():
                 # xhat again, with forward's two roundings: the graph keeps
                 # C floats of mu and inv_std, not an input-sized array
                 xhat = x.data - mu
                 xhat *= inv_std
                 gxhat = g * xhat
-                gx = gxhat.sum(axis=axes)
-                if gamma.requires_grad:
-                    gamma.accumulate_grad(gx)
-            if beta.requires_grad or x_train:
-                gsum = g.sum(axis=axes)
-                if beta.requires_grad:
-                    beta.accumulate_grad(gsum)
+                return xhat, gxhat, gxhat.sum(axis=axes)
+
+            # the sum of g runs on the side thread beside the recompute
+            gsum, normed = both(
+                (lambda: g.sum(axis=axes)) if beta.requires_grad or x_train else None,
+                xhat_and_gx if gamma.requires_grad or x_train else None)
+            if gamma.requires_grad:
+                gamma.accumulate_grad(normed[2])
+            if beta.requires_grad:
+                beta.accumulate_grad(gsum)
             if x_train:
+                xhat, gxhat, gx = normed
                 # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std), in the
                 # buffers of gxhat and then xhat
                 np.multiply(xhat, gx / m, out=gxhat)

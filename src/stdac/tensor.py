@@ -14,21 +14,30 @@ round in another order than its one-thread ones, so the bytes of a run would
 otherwise depend on the machine's core count. With another BLAS, or none
 found, nothing changes.
 
-A training step still uses two cores. The module owns one side thread, and
-`both(f, g)` runs `f()` on it while the caller runs `g()`. A backward op
-hands it one of two calls that do not depend on each other, with the same
-arguments it would pass inline, so each result keeps its bits: `conv2d`'s
-kernel gradient beside its input gradient, `matmul`'s right-hand gradient
-beside its left-hand one, and one half of `Adam.step`'s blocks beside the
-other. The split is fixed at two threads, not read from the core count. The
-rules:
+Training and evaluation use two cores. The module owns one side
+thread, and `both(f, g)` runs `f()` on it while the caller runs `g()`. The
+split is fixed at two threads, not read from the core count, and each result
+keeps the bits of a one-thread run:
+  - a backward op hands the side thread one of two calls that do not depend
+    on each other, with the same arguments it would pass inline: `conv2d`'s
+    kernel gradient beside its input gradient, `matmul`'s right-hand
+    gradient beside its left-hand one, `batch_norm`'s sum of the output
+    gradient beside its `xhat` recompute, and one half of `Adam.step`'s
+    blocks beside the other;
+  - the large forward GEMMs of `conv2d` and `matmul` give each thread half
+    of the batch rows (`split_rows`): a row half keeps the bytes of those
+    rows of the whole GEMM while both stay on OpenBLAS's large-matrix path
+    (see `SPLIT_MIN_WORK`).
+The rules:
   - the side thread does NumPy array work only, in closures over arrays
     and `Adam._update`; it never touches a Tensor, the graph,
     `accumulate_grad` or any public stdac function, so whatever wraps those
     (a tracer, say) sees every call on the caller's thread;
   - gradients are accumulated on the caller, in the order the op names its
     inputs;
-  - an exception on the side thread is raised again in the caller.
+  - an exception on the side thread is raised again in the caller;
+  - `both` raises `SideThreadReentry` on the side thread, whose one worker
+    would otherwise wait on itself.
 
 Allocator policy: the sweep frees about 700 MB of arrays per training step
 that the next forward allocates again. By default glibc hands every block
@@ -47,12 +56,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import GradientNaN, GraphReleased, ShapeError
+from .errors import GradientNaN, GraphReleased, ShapeError, SideThreadReentry
 
 # glibc mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -101,12 +111,20 @@ _keep_freed_memory()
 _one_blas_thread()
 
 
+_on_side = threading.local()
+
+
+def _mark_side() -> None:
+    _on_side.flag = True
+
+
 def _new_side_thread() -> None:
     """The one side thread (see the module docstring). A forked child gets a
     new one: it inherits the executor but not its thread, and would wait for
     that thread forever."""
     global _side
-    _side = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stdac-side")
+    _side = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stdac-side",
+                               initializer=_mark_side)
 
 
 _new_side_thread()
@@ -117,7 +135,11 @@ if hasattr(os, "register_at_fork"):
 def both(f: Callable | None, g: Callable | None) -> tuple:
     """(f(), g()), with f() on the side thread while g() runs here. A None in
     place of either gives None, and a lone call runs here. If g() raises, f()
-    is waited for first, so no side work outlives the call."""
+    is waited for first, so no side work outlives the call. Raises
+    `SideThreadReentry` when called on the side thread."""
+    if getattr(_on_side, "flag", False):
+        raise SideThreadReentry("tensor.both called on the side thread, "
+                                "which would wait on itself")
     if f is None or g is None:
         return (None if f is None else f()), (None if g is None else g())
     side = _side.submit(f)
@@ -127,6 +149,26 @@ def both(f: Callable | None, g: Callable | None) -> tuple:
         side.exception()    # waits for f(); g()'s exception is the one raised
         raise
     return side.result(), here
+
+
+# A row half of a GEMM has the bytes of the same rows of the whole GEMM while
+# both run on OpenBLAS's large-matrix path. A product with M*N*K below about
+# 1e6 takes its small-matrix path, which rounds otherwise: halving st1's
+# loc/conv2 at batch 128 (M=128, K=500, N=20) or head/dense at batch 64
+# (M=64, K=3096, N=10) changed their bytes. So a split needs the smaller half
+# at 2^24, 16x that bound.
+SPLIT_MIN_WORK = 1 << 24
+
+
+def split_rows(n: int, row_work: int, run: Callable[[int, int], None]) -> None:
+    """run(lo, hi) over the rows [0, n): as run(n // 2, n) on the side thread
+    beside run(0, n // 2) here when the smaller half's GEMM work,
+    n // 2 * row_work (M*K*N), reaches `SPLIT_MIN_WORK`, else as run(0, n)."""
+    h = n // 2
+    if h * row_work < SPLIT_MIN_WORK:
+        run(0, n)
+    else:
+        both(lambda: run(h, n), lambda: run(0, h))
 
 
 _grad_enabled = True
@@ -345,14 +387,17 @@ class Tensor:
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
-        if self.shape[-1] != other.shape[0]:
-            raise ShapeError(
-                f"matmul inner axes disagree: {self.shape[-1]} (lhs axis {self.ndim - 1}) "
-                f"vs {other.shape[0]} (rhs axis 0)")
-        out = Tensor.result(self.data @ other.data, "matmul", (self, other))
+        if self.ndim != 2 or other.ndim != 2:
+            raise ShapeError(f"matmul takes two matrices, got {self.ndim} and {other.ndim} axes")
+        if self.shape[1] != other.shape[0]:
+            raise ShapeError(f"matmul inner axes disagree: {self.shape[1]} (lhs axis 1) "
+                             f"vs {other.shape[0]} (rhs axis 0)")
+        a, b = self.data, other.data
+        y = np.empty((a.shape[0], b.shape[1]))
+        split_rows(len(a), a.shape[1] * b.shape[1],
+                   lambda lo, hi: np.matmul(a[lo:hi], b, out=y[lo:hi]))
+        out = Tensor.result(y, "matmul", (self, other))
         if out.requires_grad:
-            a, b = self.data, other.data
-
             def bwd(g):
                 # the right-hand gradient runs on the side thread
                 d_other, d_self = both((lambda: a.T @ g) if other.requires_grad else None,

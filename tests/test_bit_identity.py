@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
+import test_dac
 from stdac import nn, stn, tensor
-from stdac.dac import Backbone, BackboneConfig, ThresholdSchedule, train_epoch
+from stdac.dac import (Backbone, BackboneConfig, ThresholdSchedule, predict_features,
+                       train_epoch)
 from stdac.dataio import AugmentConfig, make_synthetic_glyphs
 from stdac.optim import BLOCK, Adam
 from stdac.tensor import Tensor, no_grad
@@ -309,4 +311,79 @@ def test_batch_128_steps_match_inline_reference_ops(monkeypatch):
     for name in state:
         assert_same_bits(state[name], state_ref[name])
     for got, want in zip(opt.m + opt.v, opt_ref.m + opt_ref.v):
+        assert_same_bits(got, want)
+
+
+class TestForwardSplit:
+    """The forward GEMMs split by batch rows against the same GEMMs unsplit
+    (`SPLIT_MIN_WORK` at infinity): the same bytes, and a split only where
+    both halves stay far above OpenBLAS's small-matrix bound."""
+
+    @pytest.fixture
+    def side_calls(self, monkeypatch):
+        calls = []
+        both = tensor.both
+
+        def counting(f, g):
+            calls.append(f)
+            return both(f, g)
+        monkeypatch.setattr(tensor, "both", counting)
+        return calls
+
+    @staticmethod
+    def split_and_whole(monkeypatch, side_calls, run):
+        """run() as split, then unsplit; the count of side calls of each."""
+        got = run()
+        n_split = len(side_calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor, "SPLIT_MIN_WORK", float("inf"))
+            want = run()
+        return got, want, n_split, len(side_calls) - n_split
+
+    def conv2d(self, batch, x_shape, k_shape, padding, monkeypatch, side_calls, rng):
+        args = [Tensor(rng.normal(size=(batch,) + x_shape)), Tensor(rng.normal(size=k_shape)),
+                Tensor(rng.normal(size=k_shape[-1]))]
+        return self.split_and_whole(monkeypatch, side_calls,
+                                    lambda: nn.conv2d(*args, padding).data)
+
+    @pytest.mark.parametrize("batch", [128, 256])
+    @pytest.mark.parametrize("x_shape, k_shape", [((28, 28, 1), (3, 3, 1, 64)),
+                                                  ((14, 14, 64), (3, 3, 64, 128)),
+                                                  ((7, 7, 128), (3, 3, 128, 256))],
+                             ids=["block1", "block2", "block3"])
+    def test_conv2d(self, batch, x_shape, k_shape, monkeypatch, side_calls, rng):
+        got, want, n_split, n_whole = self.conv2d(batch, x_shape, k_shape, "same",
+                                                  monkeypatch, side_calls, rng)
+        assert (n_split, n_whole) == (1, 0)
+        assert_same_bits(got, want)
+
+    def test_st1_localization_conv_stays_whole(self, monkeypatch, side_calls, rng):
+        # M=128, K=500, N=20: halves of 0.64M multiply-adds would fall below
+        # the small-matrix bound, and halving there did change the bytes
+        got, want, n_split, n_whole = self.conv2d(128, (5, 5, 20), (5, 5, 20, 20), "valid",
+                                                  monkeypatch, side_calls, rng)
+        assert (n_split, n_whole) == (0, 0)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("batch", [128, 256])
+    @pytest.mark.parametrize("d_in, d_out", [(2304, 3096), (6272, 50)],
+                             ids=["fc", "st2-loc-dense1"])
+    def test_matmul(self, batch, d_in, d_out, monkeypatch, side_calls, rng):
+        a, b = Tensor(rng.normal(size=(batch, d_in))), Tensor(rng.normal(size=(d_in, d_out)))
+        got, want, n_split, n_whole = self.split_and_whole(
+            monkeypatch, side_calls, lambda: a.matmul(b).data)
+        assert (n_split, n_whole) == (1, 0)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_predict_features(self, count, monkeypatch, side_calls):
+        # 385 images: a last batch of 129, whose trunk convs split while st1's
+        # loc/conv2 (M=129) does not
+        images = make_synthetic_glyphs(385, seed=count).images
+        model = Backbone(BackboneConfig(st_layer_count=count), seed=4)
+        test_dac.TestEvalPoolsFirst.perturbed(model, count)
+        got, want, n_split, n_whole = self.split_and_whole(
+            monkeypatch, side_calls, lambda: predict_features(model, images))
+        # per batch: three trunk convs and fc, plus st2's loc/dense1
+        assert n_split == 2 * (4 + (count >= 2)) and n_whole == 0
         assert_same_bits(got, want)

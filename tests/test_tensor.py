@@ -97,6 +97,11 @@ class TestOps:
         with pytest.raises(ShapeError, match="axis"):
             Tensor(np.ones((2, 3))).matmul(Tensor(np.ones((4, 2))))
 
+    @pytest.mark.parametrize("shapes", [((3,), (3, 2)), ((2, 3), (3,)), ((4, 2, 3), (3, 2))])
+    def test_matmul_takes_two_matrices(self, shapes):
+        with pytest.raises(ShapeError, match="two matrices"):
+            Tensor(np.ones(shapes[0])).matmul(Tensor(np.ones(shapes[1])))
+
     def test_matmul_grads(self, rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)

@@ -2,18 +2,20 @@
 bytes of a run do not depend on the BLAS thread count the machine would pick."""
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stdac
 from stdac import nn
 from stdac.optim import Adam
-from stdac.tensor import Tensor, both
+from stdac.tensor import Tensor, both, no_grad
 
 SRC = str(Path(stdac.__file__).resolve().parent.parent)
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -67,6 +69,71 @@ class TestBoth:
             print(os.waitpid(pid, 0)[1])
         """, "1")
         assert out.split() == ["0"]
+
+    @pytest.mark.skipif(not hasattr(signal, "alarm"), reason="no alarm on this platform")
+    def test_a_call_on_the_side_thread_raises(self):
+        # the side thread's one worker would wait on the nested call forever
+        out = run_python("""
+            import signal
+            from stdac.errors import SideThreadReentry
+            from stdac.tensor import both
+
+            signal.alarm(10)
+            try:
+                both(lambda: both(int, int), int)
+            except SideThreadReentry:
+                print("raised")
+            print(*both(lambda: 1, lambda: 2))
+        """, "1")
+        assert out.split() == ["raised", "1", "2"]
+
+
+class TestForwardThreads:
+    """The large forward GEMMs give the side thread half of the batch rows;
+    the small ones run whole on the caller."""
+
+    @pytest.fixture
+    def matmuls(self, monkeypatch):
+        seen = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            seen.append((len(a), threading.get_ident()))
+            return matmul(a, b, **kwargs)
+        monkeypatch.setattr(np, "matmul", recording)
+        return seen
+
+    @pytest.mark.parametrize("x_shape, k_shape, padding, split", [
+        ((128, 14, 14, 64), (3, 3, 64, 128), "same", True),     # block2/conv
+        ((128, 14, 14, 1), (5, 5, 1, 20), "valid", False),      # st1 loc/conv1
+        ((128, 5, 5, 20), (5, 5, 20, 20), "valid", False),      # st1 loc/conv2
+    ], ids=["block2", "st1-loc-conv1", "st1-loc-conv2"])
+    def test_conv2d(self, x_shape, k_shape, padding, split, matmuls, rng):
+        x = Tensor(rng.normal(size=x_shape))
+        y = nn.conv2d(x, Tensor(rng.normal(size=k_shape)),
+                      Tensor(rng.normal(size=k_shape[-1])), padding)
+        self.check(matmuls, y.shape[0] * y.shape[1] * y.shape[2], split)
+
+    @pytest.mark.parametrize("d_in, d_out, split", [
+        (2304, 3096, True),     # fc/dense
+        (2304, 50, False),      # st3 loc/dense1
+        (3096, 10, False),      # head/dense
+    ], ids=["fc", "st3-loc-dense1", "head"])
+    def test_dense(self, d_in, d_out, split, matmuls, rng):
+        with no_grad():
+            nn.dense(Tensor(rng.normal(size=(128, d_in))), Tensor(rng.normal(size=(d_in, d_out))),
+                     Tensor(rng.normal(size=d_out)))
+        self.check(matmuls, 128, split)
+
+    @staticmethod
+    def check(matmuls, rows, split):
+        here = threading.get_ident()
+        if split:
+            assert sorted(n for n, _ in matmuls) == [rows // 2, rows - rows // 2]
+            assert len({ident for _, ident in matmuls}) == 2
+            assert here in {ident for _, ident in matmuls}
+        else:
+            assert matmuls == [(rows, here)]
 
 
 class TestBackwardThreads:
