@@ -56,7 +56,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     while pos < len(blob):
         (nlen,) = struct.unpack("<I", take(4, "name length"))
-        name = take(nlen, "name").decode("utf-8")
+        raw = take(nlen, "name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"record name of {nlen} bytes at offset {pos - nlen} "
+                                  f"is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1

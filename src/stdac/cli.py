@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, CheckpointError, IdxFormatError, FileNotFoundError) as err:
+    except (ConfigurationError, CheckpointError, IdxFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

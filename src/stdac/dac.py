@@ -74,7 +74,6 @@ class Backbone(Module):
 
     def __init__(self, config: BackboneConfig, seed: int = 0):
         self.config = config
-        self.seed = seed
         s = config.input_size
         s2, s3 = s // 4, s // 8
 

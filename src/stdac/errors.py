@@ -27,7 +27,3 @@ class GradientNaN(ArithmeticError):
 
 class GraphReleased(RuntimeError):
     """A backward sweep reached a node that an earlier sweep already released."""
-
-
-class SideThreadReentry(RuntimeError):
-    """`tensor.both` was called on the side thread, which would wait on itself."""

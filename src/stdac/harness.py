@@ -403,7 +403,7 @@ def class_statistics(images: np.ndarray, truth: np.ndarray, out_dir,
             members = stack[truth == c][..., 0]
             means.append(members.mean(axis=0))
             variances.append(members.var(axis=0))     # population variance
-            stds.append(np.sqrt(members.var(axis=0)))
+            stds.append(np.sqrt(variances[-1]))
         grids = {}
         for stat, tiles in (("mean", means), ("std", stds), ("var", variances)):
             grid = _grid(tiles, rows=1, cols=len(classes))

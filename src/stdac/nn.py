@@ -152,17 +152,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
     return out
 
 
-def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling; trailing rows/cols that do not fill a
-    window are dropped. Gradient routes to the first maximum in each window
+def maxpool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 max pooling; a trailing row/col that does not fill
+    a window is dropped. Gradient routes to the first maximum in each window
     (row-major scan), which keeps replays deterministic under ties."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d input must be NHWC, got {x.ndim} axes")
     h, w = x.shape[1:3]
-    if h < size or w < size:
-        raise ShapeError(f"maxpool2d needs spatial size >= {size}, got {h}x{w}")
-    hc, wc = (h // size) * size, (w // size) * size
-    y = _pool_windows(np.maximum, x.data, size)
+    if h < 2 or w < 2:
+        raise ShapeError(f"maxpool2d needs spatial size >= 2, got {h}x{w}")
+    hc, wc = h // 2 * 2, w // 2 * 2
+    y = _pool_windows(np.maximum, x.data)
 
     out = Tensor.result(y, "maxpool2d", (x,))
     if out.requires_grad:
@@ -172,7 +172,7 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
             dx[:, hc:] = 0.0
             dx[:, :, wc:] = 0.0
             taken = np.zeros(y.shape, dtype=bool)
-            for xv, dxv in zip(_windows(x.data, size), _windows(dx, size)):
+            for xv, dxv in zip(_windows(x.data), _windows(dx)):
                 hit = xv == y
                 np.greater(hit, taken, out=hit)     # hit and not taken yet
                 taken |= hit
@@ -183,17 +183,17 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
     return out
 
 
-def _windows(a: np.ndarray, size: int) -> list[np.ndarray]:
-    """Strided views of an NHWC array, one per window offset in row-major
-    order, each holding that offset of every non-overlapping window; the
-    rows and columns that do not fill a window are cropped."""
-    hc, wc = (a.shape[1] // size) * size, (a.shape[2] // size) * size
-    return [a[:, i:hc:size, j:wc:size, :] for i in range(size) for j in range(size)]
+def _windows(a: np.ndarray) -> list[np.ndarray]:
+    """Strided views of an NHWC array, one per 2x2 window offset in row-major
+    order, each holding that offset of every non-overlapping window; a row
+    or column that does not fill a window is cropped."""
+    hc, wc = a.shape[1] // 2 * 2, a.shape[2] // 2 * 2
+    return [a[:, i:hc:2, j:wc:2, :] for i in range(2) for j in range(2)]
 
 
-def _pool_windows(reduce, a: np.ndarray, size: int) -> np.ndarray:
+def _pool_windows(reduce, a: np.ndarray) -> np.ndarray:
     """`reduce` (np.maximum or np.minimum) over each window, in offset order."""
-    first, *rest = _windows(a, size)
+    first, *rest = _windows(a)
     y = first.copy()
     for v in rest:
         reduce(y, v, out=y)
@@ -408,14 +408,6 @@ class BatchNorm(Module):
                           self.running_var, train)
 
 
-class MaxPool(Module):
-    def __init__(self, size: int = 2):
-        self.size = size
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return maxpool2d(x, self.size)
-
-
 def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
     """`maxpool2d(bn(x, train).relu())`, the tail of a conv block, computed
     with the ReLU after the pool.
@@ -435,5 +427,5 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
     pooled = maxpool2d(x)
     falling = bn.gamma.data < 0
     if falling.any():
-        np.copyto(pooled.data, _pool_windows(np.minimum, x.data, 2), where=falling)
+        np.copyto(pooled.data, _pool_windows(np.minimum, x.data), where=falling)
     return bn(pooled, False).relu()

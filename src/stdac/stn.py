@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
+from . import nn
 from .errors import ShapeError
-from .nn import Conv2d, Dense, MaxPool, Module
+from .nn import Conv2d, Dense, Module
 from .tensor import Tensor
 
 
@@ -139,7 +140,6 @@ class LocalizationNet(Module):
     def __init__(self, size: int, channels: int, name: str, seed: int):
         c2 = (size // 2 - 4) // 2 - 4   # side after pool, conv 5x5, pool, conv 5x5
         if c2 >= 1:
-            self.pool = MaxPool(2)
             self.conv1 = Conv2d(5, 5, channels, 20, f"{name}/conv1", seed,
                                 padding="valid", init="glorot")
             self.conv2 = Conv2d(5, 5, 20, 20, f"{name}/conv2", seed,
@@ -156,8 +156,8 @@ class LocalizationNet(Module):
     def __call__(self, x: Tensor) -> Tensor:
         h = x
         if self.conv1 is not None:
-            h = self.conv1(self.pool(h)).tanh()
-            h = self.conv2(self.pool(h)).tanh()
+            h = self.conv1(nn.maxpool2d(h)).tanh()
+            h = self.conv2(nn.maxpool2d(h)).tanh()
         h = h.reshape((h.shape[0], -1))
         h = self.dense1(h).tanh()
         return self.head(h).tanh()

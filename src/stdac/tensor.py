@@ -14,10 +14,11 @@ round in another order than its one-thread ones, so the bytes of a run would
 otherwise depend on the machine's core count. With another BLAS, or none
 found, nothing changes.
 
-Training and evaluation use two cores. The module owns one side
-thread, and `both(f, g)` runs `f()` on it while the caller runs `g()`. The
-split is fixed at two threads, not read from the core count, and each result
-keeps the bits of a one-thread run:
+Training and evaluation use two cores. `both(f, g)` starts a side thread
+for `f()` and waits for its result within the call, while the caller runs
+`g()`; a thread costs about 0.1 ms, a few ms of a training step. The split is fixed
+at two threads, not read from the core count, and each result keeps the bits
+of a one-thread run:
   - a backward op hands the side thread one of two calls that do not depend
     on each other, with the same arguments it would pass inline: `conv2d`'s
     kernel gradient beside its input gradient, `matmul`'s right-hand
@@ -35,9 +36,9 @@ The rules:
     (a tracer, say) sees every call on the caller's thread;
   - gradients are accumulated on the caller, in the order the op names its
     inputs;
-  - an exception on the side thread is raised again in the caller;
-  - `both` raises `SideThreadReentry` on the side thread, whose one worker
-    would otherwise wait on itself.
+  - an exception on the side thread is raised again in the caller.
+No side thread outlives its call, so a forked child and a `both` nested on
+a side thread need no special case.
 
 Allocator policy: the sweep frees about 700 MB of arrays per training step
 that the next forward allocates again. By default glibc hands every block
@@ -55,14 +56,13 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import GradientNaN, GraphReleased, ShapeError, SideThreadReentry
+from .errors import GradientNaN, GraphReleased, ShapeError
 
 # glibc mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -111,38 +111,26 @@ _keep_freed_memory()
 _one_blas_thread()
 
 
-_on_side = threading.local()
+def _side(f: Callable) -> Future:
+    """A Future for f(), which runs on a thread started for this call."""
+    done = Future()
 
-
-def _mark_side() -> None:
-    _on_side.flag = True
-
-
-def _new_side_thread() -> None:
-    """The one side thread (see the module docstring). A forked child gets a
-    new one: it inherits the executor but not its thread, and would wait for
-    that thread forever."""
-    global _side
-    _side = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stdac-side",
-                               initializer=_mark_side)
-
-
-_new_side_thread()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_side_thread)
+    def run():
+        try:
+            done.set_result(f())
+        except BaseException as exc:
+            done.set_exception(exc)
+    threading.Thread(target=run, name="stdac-side").start()
+    return done
 
 
 def both(f: Callable | None, g: Callable | None) -> tuple:
-    """(f(), g()), with f() on the side thread while g() runs here. A None in
-    place of either gives None, and a lone call runs here. If g() raises, f()
-    is waited for first, so no side work outlives the call. Raises
-    `SideThreadReentry` when called on the side thread."""
-    if getattr(_on_side, "flag", False):
-        raise SideThreadReentry("tensor.both called on the side thread, "
-                                "which would wait on itself")
+    """(f(), g()), with f() on a thread of its own while g() runs here. A None
+    in place of either gives None, and a lone call runs here. If g() raises,
+    f() is waited for first, so no side work outlives the call."""
     if f is None or g is None:
         return (None if f is None else f()), (None if g is None else g())
-    side = _side.submit(f)
+    side = _side(f)
     try:
         here = g()
     except BaseException:

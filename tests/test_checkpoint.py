@@ -58,6 +58,16 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="name"):
             load_checkpoint(path)
 
+    def test_non_utf8_name_names_offset(self, tmp_path):
+        path = tmp_path / "m.stdac"
+        save_checkpoint(path, {"x": np.zeros(1)})
+        blob = bytearray(path.read_bytes())
+        name_at = len(MAGIC) + 4
+        blob[name_at] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"offset {name_at} is not UTF-8"):
+            load_checkpoint(path)
+
     def test_duplicate_names_rejected(self, tmp_path):
         path = tmp_path / "m.stdac"
         save_checkpoint(path, {"x": np.zeros(1)})

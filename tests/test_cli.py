@@ -240,6 +240,11 @@ class TestEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_checkpoint_is_error_code(self, tmp_path, capsys):
+        rc = main(["eval", "--checkpoint", str(tmp_path), "--dataset", "synthetic"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_corrupt_checkpoint_is_error_code(self, tmp_path, capsys):
         ckpt = tmp_path / "garbage.stdac"
         ckpt.write_bytes(b"not a checkpoint at all")

@@ -71,21 +71,16 @@ class TestBoth:
         assert out.split() == ["0"]
 
     @pytest.mark.skipif(not hasattr(signal, "alarm"), reason="no alarm on this platform")
-    def test_a_call_on_the_side_thread_raises(self):
-        # the side thread's one worker would wait on the nested call forever
+    def test_a_nested_call_runs(self):
+        # a single pooled side worker would wait on the nested call forever
         out = run_python("""
             import signal
-            from stdac.errors import SideThreadReentry
             from stdac.tensor import both
 
             signal.alarm(10)
-            try:
-                both(lambda: both(int, int), int)
-            except SideThreadReentry:
-                print("raised")
-            print(*both(lambda: 1, lambda: 2))
+            print(both(lambda: both(int, int), int))
         """, "1")
-        assert out.split() == ["raised", "1", "2"]
+        assert out.strip() == "((0, 0), 0)"
 
 
 class TestForwardThreads:
