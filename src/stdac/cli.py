@@ -41,15 +41,15 @@ def _build_config(args) -> ExperimentConfig:
     overrides = {}
     if len(getattr(args, "st_layers", ())) == 1:
         overrides["st_layer_count"] = args.st_layers[0]
-    if getattr(args, "dataset", None):
+    if args.dataset:
         overrides["dataset"] = args.dataset
         if args.dataset in DATASET_DEFAULT_L0 and args.config is None:
             overrides["l0"] = DATASET_DEFAULT_L0[args.dataset]
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
-    if getattr(args, "data_dir", None):
+    if args.data_dir:
         overrides["data_dir"] = args.data_dir
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -130,32 +130,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--seed", type=int)
         p.add_argument("--dataset", choices=DATASETS)
         p.add_argument("--data-dir", help="directory holding the IDX files")
-        p.add_argument("--out")
 
     p_train = sub.add_parser("train", help="run a training experiment")
-    p_train.add_argument("--config", help="key=value config file")
     p_train.add_argument("--st-layers", type=_st_counts, default=(), metavar="N[,N...]",
                          help="ST-layer count; several counts run the sweep")
-    p_train.add_argument("--seed", type=int)
     p_train.add_argument("--verbose", action="store_true")
+    p_train.add_argument("--out")
     common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--config")
-    p_eval.add_argument("--seed", type=int)
     common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_viz = sub.add_parser("viz", help="emit visualization files")
     p_viz.add_argument("--checkpoint", required=True)
     p_viz.add_argument("--kind", choices=["st", "stats"], required=True)
-    p_viz.add_argument("--config")
-    p_viz.add_argument("--seed", type=int)
     p_viz.add_argument("--samples", type=int, default=8)
+    p_viz.add_argument("--out")
     common(p_viz)
     p_viz.set_defaults(func=cmd_viz)
     return parser

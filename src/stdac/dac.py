@@ -62,14 +62,13 @@ class Backbone(Module):
     pools the BN output and then rectifies the pooled map: max commutes with
     ReLU, which maps every value <= 0 to +0.0, so values and gradients keep
     their bytes (the helper's docstring gives the gradient argument). In
-    eval mode with no graph recorded it pools the conv output first, then
-    normalizes and rectifies the pooled map. Eval BN then ReLU is a chain of
-    correctly rounded steps, each monotone per channel: rising where
-    gamma >= 0, falling where gamma < 0. So the window max after the chain
-    is the chain applied to the window max of its input, or to the window
-    min where gamma < 0. The features keep every byte of the BN -> ReLU ->
-    pool order but the sign of a zero, which can differ only where a BN beta
-    is exactly -0.0; Adam never makes one from the +0.0 init.
+    eval mode with no graph recorded, where a block's gammas are all >= 0, it
+    pools the conv output, then normalizes and rectifies the pooled map: eval
+    BN then ReLU is a chain of correctly rounded steps, each non-decreasing
+    per channel (constant where gamma == 0), so the window max commutes with
+    it. Any gamma < 0 keeps the graph order. The features keep every byte of
+    the BN -> ReLU -> pool order but the sign of a zero, which can differ only
+    where a BN beta is exactly -0.0; Adam never makes one from the +0.0 init.
     """
 
     def __init__(self, config: BackboneConfig, seed: int = 0):

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import stn
 from .errors import ConfigurationError, IdxFormatError, ShapeError
+from .tensor import Tensor, no_grad
 
 
 @dataclass
@@ -52,8 +55,11 @@ def _open(path, mode: str):
 
 def read_idx(path) -> np.ndarray:
     """Parse one IDX file into a uint8 array of its stated shape."""
-    with _open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with _open(path, "rb") as f:
+            blob = f.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        raise IdxFormatError(f"{path}: unreadable gzip stream: {e}") from e
     if len(blob) < 4:
         raise IdxFormatError(f"{path}: too short for an IDX header ({len(blob)} bytes)")
     (magic,) = struct.unpack(">I", blob[:4])
@@ -164,11 +170,9 @@ def sample_affine_params(cfg: AugmentConfig, n: int, rng: np.random.Generator) -
 def warp_images(images: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Resample images (NHWC) under per-image source-coordinate affines,
     corner-aligned bilinear with zero padding."""
-    from .stn import affine_grid, bilinear_sample
-    from .tensor import Tensor, no_grad
     with no_grad():
-        grid = affine_grid(Tensor(theta), images.shape[1], images.shape[2])
-        return bilinear_sample(Tensor(images), grid).data
+        grid = stn.affine_grid(Tensor(theta), images.shape[1], images.shape[2])
+        return stn.bilinear_sample(Tensor(images), grid).data
 
 
 def augment_batch(batch: np.ndarray, cfg: AugmentConfig,
@@ -212,6 +216,7 @@ def _glyph_prototypes(classes: int, cells: int, rng: np.random.Generator) -> np.
 
 GLYPH_JITTER = AugmentConfig(rotation_degrees=20.0, translate_fraction=0.12,
                              scale_range=(0.85, 1.15))
+GLYPH_BLOCK = 1024     # glyphs warped per call, which bounds the transient memory
 
 
 def make_synthetic_glyphs(n: int, seed: int = 0, classes: int = 10) -> ImageSet:
@@ -237,5 +242,8 @@ def make_synthetic_glyphs(n: int, seed: int = 0, classes: int = 10) -> ImageSet:
 
     labels = rng.integers(0, classes, size=n)
     theta = sample_affine_params(GLYPH_JITTER, n, rng)
-    images = np.clip(warp_images(stamps[labels], theta), 0.0, 1.0)
+    images = np.empty((n, size, size, 1))
+    for lo in range(0, n, GLYPH_BLOCK):
+        block = slice(lo, lo + GLYPH_BLOCK)
+        np.clip(warp_images(stamps[labels[block]], theta[block]), 0.0, 1.0, out=images[block])
     return ImageSet(images, labels)

@@ -188,6 +188,9 @@ def load_dataset(cfg: ExperimentConfig) -> ImageSet:
         idx.sort()
         labels = data.labels[idx] if data.labels is not None else None
         data = ImageSet(data.images[idx], labels)
+    size = BackboneConfig.input_size
+    if data.images.shape[1:] != (size, size, 1):
+        raise ConfigurationError(f"images are {data.images.shape[1:]}, not ({size}, {size}, 1)")
     return data
 
 

@@ -234,6 +234,13 @@ class TestEval:
         out = capsys.readouterr().out
         assert "acc " in out and "nmi " in out and "ari " in out
 
+    def test_out_is_not_an_eval_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(tmp_path / "m.stdac"),
+                  "--dataset", "synthetic", "--out", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_error_code(self, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.stdac"),
                    "--dataset", "synthetic"])
@@ -276,6 +283,47 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "train-images-idx3-ubyte" in err
+
+
+class TestBadIdxInput:
+    """Unreadable or wrongly shaped IDX images exit 2 before any run file."""
+
+    @pytest.fixture
+    def idx_dir(self, tmp_path):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        save_idx(make_synthetic_glyphs(6, seed=0, classes=4),
+                 data_dir / "train-images-idx3-ubyte.gz",
+                 data_dir / "train-labels-idx1-ubyte.gz")
+        return data_dir
+
+    def exits_before_the_run_tree(self, data_dir, capsys):
+        runs = data_dir.parent / "runs"
+        assert main(["train", "--dataset", "mnist", "--data-dir", str(data_dir),
+                     "--out", str(runs)]) == 2
+        assert not runs.exists()
+        return capsys.readouterr().err
+
+    def test_truncated_gzip(self, idx_dir, capsys):
+        images = idx_dir / "train-images-idx3-ubyte.gz"
+        images.write_bytes(images.read_bytes()[:-100])
+        err = self.exits_before_the_run_tree(idx_dir, capsys)
+        assert err.startswith("error:") and str(images) in err
+
+    def test_corrupted_gzip(self, idx_dir, capsys):
+        images = idx_dir / "train-images-idx3-ubyte.gz"
+        blob = bytearray(images.read_bytes())
+        blob[12:-8] = bytes(b ^ 0xFF for b in blob[12:-8])
+        images.write_bytes(bytes(blob))
+        err = self.exits_before_the_run_tree(idx_dir, capsys)
+        assert err.startswith("error:") and str(images) in err
+
+    def test_images_the_backbone_does_not_take(self, idx_dir, capsys):
+        save_idx(ImageSet(np.zeros((4, 32, 32, 1)), np.arange(4)),
+                 idx_dir / "train-images-idx3-ubyte.gz",
+                 idx_dir / "train-labels-idx1-ubyte.gz")
+        err = self.exits_before_the_run_tree(idx_dir, capsys)
+        assert err.startswith("error:") and "(32, 32, 1)" in err
 
 
 class TestViz:

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stdac import nn
 from stdac.dac import (
     Backbone,
     BackboneConfig,
@@ -123,6 +124,22 @@ class TestEvalPoolsFirst:
         got = predict_features(model, images)
         assert np.isfinite(got).all()
         assert got.tobytes() == want.tobytes()
+
+    def test_a_negative_gamma_keeps_its_block_in_the_graph_order(self, monkeypatch):
+        model = Backbone(BackboneConfig(st_layer_count=1, cluster_count=4), seed=4)
+        model.bn2.gamma.data[7] = -0.5
+        seen = []
+        batch_norm = nn.batch_norm
+
+        def recording(x, *args):
+            seen.append(x.shape)
+            return batch_norm(x, *args)
+
+        monkeypatch.setattr(nn, "batch_norm", recording)
+        predict_features(model, make_synthetic_glyphs(3, seed=1, classes=4).images)
+        # bn1, bnp1, bn2, bnp2, bn3, bnp3, fc_bn, head_bn
+        assert seen[:6] == [(3, 14, 14, 64), (3, 14, 14, 64), (3, 14, 14, 128),
+                            (3, 7, 7, 128), (3, 3, 3, 256), (3, 3, 3, 256)]
 
 
 class TestPairwiseSimilarity:

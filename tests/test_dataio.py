@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestIdxFormat:
         (tmp_path / "b.idx").write_bytes(struct.pack(">I", 0x00000803) + b"\x00\x00\x00\x01")
         with pytest.raises(IdxFormatError, match="header"):
             read_idx(tmp_path / "b.idx")
+
+    def test_truncated_gzip_is_an_idx_error(self, rng, tmp_path):
+        path = tmp_path / "t.idx.gz"
+        write_idx(path, rng.integers(0, 256, size=(4, 6, 6), dtype=np.uint8))
+        path.write_bytes(path.read_bytes()[:-12])
+        with pytest.raises(IdxFormatError, match="t.idx.gz"):
+            read_idx(path)
+
+    def test_corrupted_gzip_is_an_idx_error(self, rng, tmp_path):
+        path = tmp_path / "t.idx.gz"
+        write_idx(path, rng.integers(0, 256, size=(4, 6, 6), dtype=np.uint8))
+        blob = bytearray(path.read_bytes())
+        blob[12:-8] = bytes(b ^ 0xFF for b in blob[12:-8])
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IdxFormatError, match="t.idx.gz"):
+            read_idx(path)
 
     def test_image_label_count_mismatch(self, rng, tmp_path):
         write_idx(tmp_path / "i.idx", rng.integers(0, 256, size=(3, 4, 4), dtype=np.uint8))
@@ -246,3 +263,27 @@ class TestSyntheticGlyphs:
         first_by_class = [data.images[np.flatnonzero(data.labels == c)[0]]
                           for c in range(3)]
         assert np.abs(first_by_class[0] - first_by_class[1]).max() > 0.5
+
+    def test_blocks_give_the_whole_corpus_bytes(self, monkeypatch):
+        whole = make_synthetic_glyphs(30, seed=5, classes=4)
+        assert len(whole) <= dataio.GLYPH_BLOCK
+        monkeypatch.setattr(dataio, "GLYPH_BLOCK", 7)
+        blocked = make_synthetic_glyphs(30, seed=5, classes=4)
+        assert blocked.images.tobytes() == whole.images.tobytes()
+        assert blocked.labels.tobytes() == whole.labels.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self, monkeypatch):
+        # only the output grows with n; each block's warp transient does not
+        monkeypatch.setattr(dataio, "GLYPH_BLOCK", 32)
+
+        def transient(n):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                data = make_synthetic_glyphs(n, seed=5, classes=4)
+                return tracemalloc.get_traced_memory()[1] - data.images.nbytes
+            finally:
+                tracemalloc.stop()
+
+        small, large = transient(64), transient(256)
+        assert large <= 1.1 * small, (small, large)

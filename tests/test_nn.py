@@ -264,11 +264,15 @@ class TestBnReluPool:
     def test_eval_without_graph_same_bytes(self, shape, rng):
         bn = mixed_bn(rng, shape[-1])
         # integer values: many windows tie, and many pixels rectify to zero
-        for x in (rng.normal(size=shape), rng.integers(-2, 3, size=shape) * 1.0):
-            want = self.graph_order(Tensor(x), bn, False).data
-            with no_grad():
-                got = nn.bn_relu_pool(Tensor(x), bn, False).data
-            assert got.tobytes() == want.tobytes()
+        inputs = (rng.normal(size=shape), rng.integers(-2, 3, size=shape) * 1.0)
+        # mixed-sign gamma keeps the graph order; |gamma| pools first
+        for gamma in (bn.gamma.data.copy(), np.abs(bn.gamma.data)):
+            bn.gamma.data[:] = gamma
+            for x in inputs:
+                want = self.graph_order(Tensor(x), bn, False).data
+                with no_grad():
+                    got = nn.bn_relu_pool(Tensor(x), bn, False).data
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("train", [True, False])
     def test_graph_recording_keeps_the_order(self, train, rng):
