@@ -30,6 +30,9 @@ def backbone_from_state(state: dict[str, np.ndarray]) -> Backbone:
     if head_bias is None:
         raise ConfigurationError("checkpoint lacks head/dense/bias; not a backbone "
                                  "checkpoint")
+    if head_bias.ndim != 1:
+        raise ConfigurationError(f"checkpoint record head/dense/bias has shape "
+                                 f"{head_bias.shape}; a backbone's has one axis")
     model = Backbone(BackboneConfig(st_layer_count=st_count,
                                     cluster_count=head_bias.shape[0]))
     model.load_state(state)
@@ -104,11 +107,11 @@ def cmd_eval(args) -> int:
 def cmd_viz(args) -> int:
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
-    out_dir = Path(args.out or "viz")
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = backbone_from_state(load_checkpoint(args.checkpoint))
     cfg = _build_config(args)
     data = load_dataset(cfg)
+    # each writer makes the directory once its own checks have passed
+    out_dir = Path(args.out or "viz")
     if args.kind == "st":
         n = min(args.samples, len(data))
         path = out_dir / "st_grid.pgm"

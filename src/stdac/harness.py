@@ -377,13 +377,15 @@ def first_st_outputs(model, images: np.ndarray) -> np.ndarray:
 
 
 def emit_st_visuals(model, images: np.ndarray, path) -> np.ndarray:
-    """Side-by-side grid (one row per image): original | first-ST output.
-    Returns the pre-quantization grid."""
+    """Side-by-side grid (one row per image): original | first-ST output,
+    written to `path`, whose directory is made if missing. Returns the
+    pre-quantization grid."""
     warped = first_st_outputs(model, images)
     tiles = []
     for orig, st in zip(images, warped):
         tiles += [orig[..., 0], np.clip(st[..., 0], 0.0, 1.0)]
     grid = _grid(tiles, rows=len(images), cols=2)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_pgm(path, grid, comment="left: input, right: first ST layer output")
     return grid
 

@@ -158,29 +158,41 @@ def maxpool2d(x: Tensor) -> Tensor:
     (row-major scan), which keeps replays deterministic under ties."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d input must be NHWC, got {x.ndim} axes")
-    h, w = x.shape[1:3]
+    n, h, w, c = x.shape
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2d needs spatial size >= 2, got {h}x{w}")
     hc, wc = h // 2 * 2, w // 2 * 2
-    first, *rest = _windows(x.data)
-    y = first.copy()
-    for v in rest:
-        np.maximum(y, v, out=y)
+    xd = x.data
+    y = np.empty((n, h // 2, w // 2, c))
 
+    def forward(lo, hi):
+        first, *rest = _windows(xd[lo:hi])
+        rows = y[lo:hi]
+        np.copyto(rows, first)
+        for v in rest:
+            np.maximum(rows, v, out=rows)
+
+    # a window never crosses an image, so the threads share no window
+    split_rows(n, h * w * c, forward, elementwise=True)
     out = Tensor.result(y, "maxpool2d", (x,))
     if out.requires_grad:
         def bwd(g):
-            # the window offsets cover dx but for the cropped rows and columns
-            dx = np.empty_like(x.data)
-            dx[:, hc:] = 0.0
-            dx[:, :, wc:] = 0.0
-            taken = np.zeros(y.shape, dtype=bool)
-            for xv, dxv in zip(_windows(x.data), _windows(dx)):
-                hit = xv == y
-                np.greater(hit, taken, out=hit)     # hit and not taken yet
-                taken |= hit
-                # g * False is -0.0 where g < 0; accumulate_grad adds it as +0.0
-                np.multiply(g, hit, out=dxv)
+            dx = np.empty_like(xd)
+
+            def route(lo, hi):
+                # the window offsets cover dx but for the cropped rows and columns
+                dx[lo:hi, hc:] = 0.0
+                dx[lo:hi, :, wc:] = 0.0
+                yh, gh = y[lo:hi], g[lo:hi]
+                taken = np.zeros(yh.shape, dtype=bool)
+                for xv, dxv in zip(_windows(xd[lo:hi]), _windows(dx[lo:hi])):
+                    hit = xv == yh
+                    np.greater(hit, taken, out=hit)     # hit and not taken yet
+                    taken |= hit
+                    # g * False is -0.0 where g < 0; accumulate_grad adds it as +0.0
+                    np.multiply(gh, hit, out=dxv)
+
+            split_rows(n, h * w * c, route, elementwise=True)
             x.accumulate_grad(dx)
         out._backward = bwd
     return out
@@ -242,14 +254,24 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                          f"gamma has {gamma.shape[0]}")
     axes = tuple(range(x.ndim - 1))
     m = x.size // x.shape[-1]
+    xd, n = x.data, x.shape[0]
+    # each per-image pass runs in row halves on both threads; each reduction
+    # over the channels stays one call on the whole buffer, as it rounds
+    # otherwise
+    row = xd[:1].size
     if train:
-        if x.shape[0] < 2:
+        if n < 2:
             raise ShapeError("batch_norm train mode needs batch size >= 2 "
                              "(variance undefined for a single sample)")
-        mu = x.data.mean(axis=axes)
-        xc = x.data - mu
+        mu = xd.mean(axis=axes)
         # np.var's own arithmetic; the squares' buffer then takes y
-        ybuf = np.square(xc)
+        xc, ybuf = np.empty_like(xd), np.empty_like(xd)
+
+        def centre(lo, hi):
+            np.subtract(xd[lo:hi], mu, out=xc[lo:hi])
+            np.square(xc[lo:hi], out=ybuf[lo:hi])
+
+        split_rows(n, row, centre, elementwise=True)
         var = ybuf.sum(axis=axes) / m
         running_mean *= BN_MOMENTUM
         running_mean += (1.0 - BN_MOMENTUM) * mu
@@ -258,43 +280,57 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         # a copy: a later train-mode call may update the buffer before backward
         mu, var = running_mean.copy(), running_var
-        xc = ybuf = x.data - mu
+        xc = ybuf = np.empty_like(xd)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = xc
-    xhat *= inv_std
-    y = np.multiply(xhat, gamma.data, out=ybuf)
-    y += beta.data
-    out = Tensor.result(y, "batch_norm", (x, gamma, beta))
+
+    def scale_shift(lo, hi):
+        xhat = xc[lo:hi]
+        if not train:
+            np.subtract(xd[lo:hi], mu, out=xhat)
+        xhat *= inv_std
+        yh = np.multiply(xhat, gamma.data, out=ybuf[lo:hi])
+        yh += beta.data
+
+    split_rows(n, row, scale_shift, elementwise=True)
+    out = Tensor.result(ybuf, "batch_norm", (x, gamma, beta))
     if out.requires_grad:
         def bwd(g):
             x_train = x.requires_grad and train
-
-            def xhat_and_gx():
+            need_xhat = gamma.requires_grad or x_train
+            if need_xhat:
                 # xhat again, with forward's two roundings: the graph keeps
                 # C floats of mu and inv_std, not an input-sized array
-                xhat = x.data - mu
-                xhat *= inv_std
-                gxhat = g * xhat
-                return xhat, gxhat, gxhat.sum(axis=axes)
+                xhat, gxhat = np.empty_like(xd), np.empty_like(xd)
 
-            # the sum of g runs on the side thread beside the recompute
-            gsum, normed = both(
+                def recompute(lo, hi):
+                    xh = np.subtract(xd[lo:hi], mu, out=xhat[lo:hi])
+                    xh *= inv_std
+                    np.multiply(g[lo:hi], xh, out=gxhat[lo:hi])
+
+                split_rows(n, row, recompute, elementwise=True)
+
+            # the sum of g runs on the side thread beside the sum of g * xhat
+            gsum, gx = both(
                 (lambda: g.sum(axis=axes)) if beta.requires_grad or x_train else None,
-                xhat_and_gx if gamma.requires_grad or x_train else None)
+                (lambda: gxhat.sum(axis=axes)) if need_xhat else None)
             if gamma.requires_grad:
-                gamma.accumulate_grad(normed[2])
+                gamma.accumulate_grad(gx)
             if beta.requires_grad:
                 beta.accumulate_grad(gsum)
             if x_train:
-                xhat, gxhat, gx = normed
-                # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std), in the
-                # buffers of gxhat and then xhat
-                np.multiply(xhat, gx / m, out=gxhat)
-                dx = np.subtract(g, gsum / m, out=xhat)
-                dx -= gxhat
-                dx *= gamma.data * inv_std
-                x.accumulate_grad(dx)
+                gx_m, gsum_m, scale = gx / m, gsum / m, gamma.data * inv_std
+
+                def tail(lo, hi):
+                    # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std), in the
+                    # buffers of gxhat and then xhat
+                    gxh = np.multiply(xhat[lo:hi], gx_m, out=gxhat[lo:hi])
+                    dx = np.subtract(g[lo:hi], gsum_m, out=xhat[lo:hi])
+                    dx -= gxh
+                    dx *= scale
+
+                split_rows(n, row, tail, elementwise=True)
+                x.accumulate_grad(xhat)
             elif x.requires_grad:
                 dx = g * gamma.data
                 dx *= inv_std

@@ -23,12 +23,23 @@ of a one-thread run:
     on each other, with the same arguments it would pass inline: `conv2d`'s
     kernel gradient beside its input gradient, `matmul`'s right-hand
     gradient beside its left-hand one, `batch_norm`'s sum of the output
-    gradient beside its `xhat` recompute, and one half of `Adam.step`'s
-    blocks beside the other;
+    gradient beside its sum of that gradient times `xhat`, and one half of
+    `Adam.step`'s blocks beside the other;
   - the large forward GEMMs of `conv2d` and `matmul` give each thread half
     of the batch rows (`split_rows`): a row half keeps the bytes of those
     rows of the whole GEMM while both stay on OpenBLAS's large-matrix path
-    (see `SPLIT_MIN_WORK`).
+    (see `SPLIT_MIN_WORK`);
+  - the per-image passes give each thread half of the images the same way
+    (see `SPLIT_MIN_FLOATS`): `batch_norm`'s centre, square, scale and shift
+    passes in forward and its recompute and `dx` passes in backward, both
+    `maxpool2d` passes, and the `relu` forward. Each value is one correctly
+    rounded step on its own element, or the max of one 2x2 window, which
+    never crosses an image, so no byte depends on where the rows are cut.
+    Every channel reduction (`batch_norm`'s mean, its sum of squares and
+    the two sums of backward) stays one whole call on a buffer laid out as
+    before, since a reduction split in two rounds otherwise. A half is a
+    closure over slices of NumPy arrays, so the side thread still touches
+    NumPy arrays only.
 The rules:
   - the side thread does NumPy array work only, in closures over arrays
     and `Adam._update`; it never touches a Tensor, the graph,
@@ -148,12 +159,22 @@ def both(f: Callable | None, g: Callable | None) -> tuple:
 SPLIT_MIN_WORK = 1 << 24
 
 
-def split_rows(n: int, row_work: int, run: Callable[[int, int], None]) -> None:
+# A per-image pass keeps its bytes however the rows are cut, so its bound is
+# the thread start alone: one pass over 2^17 floats (1 MiB) takes about
+# 0.05 ms, as long as starting the side thread (0.05-0.1 ms), and a smaller
+# half would save less than the thread costs.
+SPLIT_MIN_FLOATS = 1 << 17
+
+
+def split_rows(n: int, row_work: int, run: Callable[[int, int], None],
+               elementwise: bool = False) -> None:
     """run(lo, hi) over the rows [0, n): as run(n // 2, n) on the side thread
-    beside run(0, n // 2) here when the smaller half's GEMM work,
-    n // 2 * row_work (M*K*N), reaches `SPLIT_MIN_WORK`, else as run(0, n)."""
+    beside run(0, n // 2) here when the smaller half's work, n // 2 * row_work,
+    reaches its bound, else as run(0, n). A GEMM row's work is its K*N
+    multiply-adds, bound by `SPLIT_MIN_WORK`; with `elementwise` it is the
+    floats a per-image pass reads per row, bound by `SPLIT_MIN_FLOATS`."""
     h = n // 2
-    if h * row_work < SPLIT_MIN_WORK:
+    if h * row_work < (SPLIT_MIN_FLOATS if elementwise else SPLIT_MIN_WORK):
         run(0, n)
     else:
         both(lambda: run(h, n), lambda: run(0, h))
@@ -449,10 +470,22 @@ class Tensor:
         return out
 
     def relu(self) -> "Tensor":
-        out = Tensor.result(np.maximum(self.data, 0.0), "relu", (self,))
+        y = np.empty_like(self.data)
+        # derivative taken as 0 at exactly 0
+        mask = (np.empty_like(self.data, dtype=bool)
+                if _grad_enabled and self.requires_grad else None)
+        # row views to split; a 0-d tensor is one row
+        x, rows_y = np.atleast_1d(self.data, y)
+        rows_mask = None if mask is None else np.atleast_1d(mask)
+
+        def run(lo, hi):
+            np.maximum(x[lo:hi], 0.0, out=rows_y[lo:hi])
+            if rows_mask is not None:
+                np.greater(x[lo:hi], 0.0, out=rows_mask[lo:hi])
+
+        split_rows(len(x), x[:1].size, run, elementwise=True)
+        out = Tensor.result(y, "relu", (self,))
         if out.requires_grad:
-            # derivative taken as 0 at exactly 0
-            mask = self.data > 0.0
             out._backward = lambda g: self.accumulate_grad(g * mask)
         return out
 

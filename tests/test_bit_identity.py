@@ -315,36 +315,40 @@ def test_batch_128_steps_match_inline_reference_ops(monkeypatch):
         assert_same_bits(got, want)
 
 
+@pytest.fixture
+def side_calls(monkeypatch):
+    """The side work of every `tensor.both` call, in call order."""
+    calls = []
+    both = tensor.both
+
+    def counting(f, g):
+        calls.append(f)
+        return both(f, g)
+    monkeypatch.setattr(tensor, "both", counting)
+    return calls
+
+
+def split_and_whole(monkeypatch, side_calls, run):
+    """run() as split, then with both split thresholds at infinity; the count
+    of side calls of each."""
+    got = run()
+    n_split = len(side_calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "SPLIT_MIN_WORK", float("inf"))
+        patch.setattr(tensor, "SPLIT_MIN_FLOATS", float("inf"))
+        want = run()
+    return got, want, n_split, len(side_calls) - n_split
+
+
 class TestForwardSplit:
     """The forward GEMMs split by batch rows against the same GEMMs unsplit
-    (`SPLIT_MIN_WORK` at infinity): the same bytes, and a split only where
+    (both thresholds at infinity): the same bytes, and a split only where
     both halves stay far above OpenBLAS's small-matrix bound."""
-
-    @pytest.fixture
-    def side_calls(self, monkeypatch):
-        calls = []
-        both = tensor.both
-
-        def counting(f, g):
-            calls.append(f)
-            return both(f, g)
-        monkeypatch.setattr(tensor, "both", counting)
-        return calls
-
-    @staticmethod
-    def split_and_whole(monkeypatch, side_calls, run):
-        """run() as split, then unsplit; the count of side calls of each."""
-        got = run()
-        n_split = len(side_calls)
-        with monkeypatch.context() as patch:
-            patch.setattr(tensor, "SPLIT_MIN_WORK", float("inf"))
-            want = run()
-        return got, want, n_split, len(side_calls) - n_split
 
     def conv2d(self, batch, x_shape, k_shape, padding, monkeypatch, side_calls, rng):
         args = [Tensor(rng.normal(size=(batch,) + x_shape)), Tensor(rng.normal(size=k_shape)),
                 Tensor(rng.normal(size=k_shape[-1]))]
-        return self.split_and_whole(monkeypatch, side_calls,
+        return split_and_whole(monkeypatch, side_calls,
                                     lambda: nn.conv2d(*args, padding).data)
 
     @pytest.mark.parametrize("batch", [128, 256])
@@ -371,7 +375,7 @@ class TestForwardSplit:
                              ids=["fc", "st2-loc-dense1"])
     def test_matmul(self, batch, d_in, d_out, monkeypatch, side_calls, rng):
         a, b = Tensor(rng.normal(size=(batch, d_in))), Tensor(rng.normal(size=(d_in, d_out)))
-        got, want, n_split, n_whole = self.split_and_whole(
+        got, want, n_split, n_whole = split_and_whole(
             monkeypatch, side_calls, lambda: a.matmul(b).data)
         assert (n_split, n_whole) == (1, 0)
         assert_same_bits(got, want)
@@ -383,8 +387,92 @@ class TestForwardSplit:
         images = make_synthetic_glyphs(385, seed=count).images
         model = Backbone(BackboneConfig(st_layer_count=count), seed=4)
         test_dac.TestEvalPoolsFirst.perturbed(model, count)
-        got, want, n_split, n_whole = self.split_and_whole(
+        got, want, n_split, n_whole = split_and_whole(
             monkeypatch, side_calls, lambda: predict_features(model, images))
-        # per batch: three trunk convs and fc, plus st2's loc/dense1
-        assert n_split == 2 * (4 + (count >= 2)) and n_whole == 0
+        # per batch, the GEMMs: three trunk convs and fc, plus st2's
+        # loc/dense1. The per-image passes: in each conv block (a gamma < 0
+        # keeps the graph order) its BN, pool, ReLU and pool BN, then fc's
+        # BN and ReLU, 14 in all; and st1's second localization pool
+        # (10x10x20) in the batch of 256 only, since a half of 64 images holds
+        # 128000 floats, below SPLIT_MIN_FLOATS
+        assert n_split == 2 * (4 + (count >= 2)) + 2 * 14 + 1 and n_whole == 0
         assert_same_bits(got, want)
+
+
+def splits(batch, row):
+    """Whether a per-image pass over `batch` rows of `row` floats splits: when
+    the smaller half holds 2^17 floats (`tensor.SPLIT_MIN_FLOATS`) or more."""
+    return batch // 2 * row >= 1 << 17
+
+
+BATCHES = [2, 128, 129, 256]
+# block1's full map at batch 256 (0.1 GB an array) is left out: batches
+# 128 and 129 cover its shape
+BN_CASES = [pytest.param(batch, shape, id=f"{name}-{batch}")
+            for name, shape in [("block1", (28, 28, 64)), ("block1-pooled", (14, 14, 64)),
+                                ("block2", (14, 14, 128)), ("block2-pooled", (7, 7, 128)),
+                                ("block3", (7, 7, 256)), ("block3-pooled", (3, 3, 256)),
+                                ("fc", (3096,)), ("head", (10,))]
+            for batch in BATCHES if (batch, name) != (256, "block1")]
+
+
+class TestPerImageSplit:
+    """Batch norm's per-image passes, 2x2 pooling and ReLU split by images
+    against the same ops whole (both thresholds at infinity), at the shapes
+    the backbone runs them: the same bytes, and a split wherever a half holds
+    `SPLIT_MIN_FLOATS` floats or more. Batch 129 is `predict_features`' last
+    batch, with halves of 64 and 65 images."""
+
+    @staticmethod
+    def run_op(op, arrays, g, *args):
+        """Forward `op` on fresh leaves and push `g` back: the output, the
+        leaves' gradients and the buffers in `args`, copied."""
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        out = op(*leaves, *args)
+        out._backward(g)
+        return [out.data] + [t.grad for t in leaves] + [a for a in args
+                                                        if isinstance(a, np.ndarray)]
+
+    def check(self, monkeypatch, side_calls, run, passes, split):
+        got, want, n_split, n_whole = split_and_whole(monkeypatch, side_calls, run)
+        assert n_split - n_whole == (passes if split else 0)
+        for a, b in zip(got, want, strict=True):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("batch, shape", BN_CASES)
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_batch_norm(self, train, batch, shape, monkeypatch, side_calls, rng):
+        c = shape[-1]
+        arrays = [rng.normal(1.5, 2.0, size=(batch,) + shape), rng.normal(size=c),
+                  rng.normal(size=c)]
+        buffers = [rng.normal(size=c), rng.random(c) + 0.5]
+        g = rng.normal(size=arrays[0].shape)
+        # train: centre and square, scale and shift, then backward's
+        # recompute and dx tail; eval: one forward pass and the recompute
+        self.check(monkeypatch, side_calls,
+                   lambda: self.run_op(nn.batch_norm, arrays, g, *buffers, train),
+                   4 if train else 2, splits(batch, int(np.prod(shape))))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("shape", [(28, 28, 1), (28, 28, 64), (10, 10, 20), (14, 14, 128),
+                                       (7, 7, 256)],
+                             ids=["st1-loc-pool1", "block1", "st1-loc-pool2", "block2",
+                                  "block3"])
+    def test_maxpool2d(self, shape, batch, monkeypatch, side_calls, rng):
+        # few distinct values, so most windows hold their maximum twice or more
+        x = rng.integers(0, 3, size=(batch,) + shape).astype(np.float64)
+        g = rng.normal(size=(batch, shape[0] // 2, shape[1] // 2, shape[2]))
+        self.check(monkeypatch, side_calls, lambda: self.run_op(nn.maxpool2d, [x], g),
+                   2, splits(batch, int(np.prod(shape))))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("shape", [(14, 14, 64), (7, 7, 128), (3, 3, 256), (3096,)],
+                             ids=["block1", "block2", "block3", "fc"])
+    def test_relu(self, shape, batch, monkeypatch, side_calls, rng):
+        # zeros of both signs, where the mask and max(x, 0) must keep their bits
+        x = rng.integers(-2, 3, size=(batch,) + shape) * rng.normal(size=(batch,) + shape)
+        x[rng.random(x.shape) < 0.1] = -0.0
+        g = rng.normal(size=x.shape)
+        self.check(monkeypatch, side_calls, lambda: self.run_op(Tensor.relu, [x], g),
+                   1, splits(batch, int(np.prod(shape))))

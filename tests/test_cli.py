@@ -382,6 +382,27 @@ class TestViz:
         assert "--samples" in capsys.readouterr().err
         assert not viz_dir.exists()
 
+    @pytest.mark.parametrize("kind", ["st", "stats"])
+    def test_missing_checkpoint_makes_no_directory(self, tmp_path, kind, capsys):
+        viz_dir = tmp_path / "vizout"
+        rc = main(["viz", "--checkpoint", str(tmp_path / "none.stdac"), "--kind", kind,
+                   "--dataset", "synthetic", "--out", str(viz_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not viz_dir.exists()
+
+    def test_a_model_without_st_layers_makes_no_directory(self, tiny_config, tmp_path,
+                                                          capsys):
+        cfg, path = tiny_config
+        ckpt = tmp_path / "flat.stdac"
+        save_checkpoint(ckpt, Backbone(BackboneConfig(cluster_count=4)).state_dict())
+        viz_dir = tmp_path / "vizout"
+        rc = main(["viz", "--checkpoint", str(ckpt), "--kind", "st",
+                   "--config", str(path), "--out", str(viz_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not viz_dir.exists()
+
     @pytest.mark.parametrize("argv", [["--kind", "curves"],
                                       ["--kind", "st", "--runs", "runs/cli"]])
     def test_curves_are_drawn_by_train_only(self, tmp_path, argv, capsys):
@@ -402,6 +423,22 @@ class TestCheckpointInference:
     def test_non_backbone_state_rejected(self):
         with pytest.raises(ConfigurationError, match="head/dense/bias"):
             backbone_from_state({"something": np.zeros(3)})
+
+    def test_head_bias_without_an_axis_rejected(self):
+        state = Backbone(BackboneConfig(cluster_count=4)).state_dict()
+        state["head/dense/bias"] = np.array(3.0)
+        with pytest.raises(ConfigurationError, match=r"head/dense/bias has shape \(\)"):
+            backbone_from_state(state)
+
+    def test_head_bias_without_an_axis_is_an_eval_error_code(self, tmp_path, capsys):
+        state = Backbone(BackboneConfig(cluster_count=4)).state_dict()
+        state["head/dense/bias"] = np.array(3.0)
+        ckpt = tmp_path / "scalar-bias.stdac"
+        save_checkpoint(ckpt, state)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", "synthetic"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "head/dense/bias" in err
 
     def test_non_prefix_st_layers_rejected(self):
         model = Backbone(BackboneConfig(st_layer_count=2, cluster_count=4), seed=0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import stdac
-from stdac import nn
+from stdac import nn, tensor
 from stdac.optim import Adam
 from stdac.tensor import Tensor, both, no_grad
 
@@ -129,6 +129,62 @@ class TestForwardThreads:
             assert here in {ident for _, ident in matmuls}
         else:
             assert matmuls == [(rows, here)]
+
+
+class TestPerImageThreads:
+    """Batch norm's and the pool's per-image passes give the side thread half
+    of the images; small maps run whole on the caller."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Per `split_rows` call of nn, the rows each run got and its thread."""
+        seen = []
+        split_rows = tensor.split_rows
+
+        def recording(n, row_work, run, **kwargs):
+            runs = []
+            seen.append(runs)
+
+            def traced(lo, hi):
+                runs.append((hi - lo, threading.get_ident()))
+                run(lo, hi)
+            split_rows(n, row_work, traced, **kwargs)
+        monkeypatch.setattr(nn, "split_rows", recording)
+        return seen
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_block1_batch_norm(self, train, passes, rng):
+        x = Tensor(rng.normal(size=(128, 28, 28, 64)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(64), requires_grad=True), Tensor(np.zeros(64))
+        out = nn.batch_norm(x, gamma, beta, np.zeros(64), np.ones(64), train)
+        out._backward(rng.normal(size=x.shape))
+        # train: centre, scale, recompute and dx tail; eval: scale, recompute
+        self.check(passes, 128, 4 if train else 2, split=True)
+
+    def test_block1_pool(self, passes, rng):
+        x = Tensor(rng.normal(size=(128, 28, 28, 64)), requires_grad=True)
+        nn.maxpool2d(x)._backward(rng.normal(size=(128, 14, 14, 64)))
+        self.check(passes, 128, 2, split=True)
+
+    @pytest.mark.parametrize("batch", [128, 256])
+    def test_st1_localization_pool_stays_whole(self, batch, passes, rng):
+        # 784 floats an image: a half of 128 images holds 100352, below
+        # SPLIT_MIN_FLOATS
+        x = Tensor(rng.normal(size=(batch, 28, 28, 1)), requires_grad=True)
+        nn.maxpool2d(x)._backward(rng.normal(size=(batch, 14, 14, 1)))
+        self.check(passes, batch, 2, split=False)
+
+    @staticmethod
+    def check(passes, rows, calls, split):
+        here = threading.get_ident()
+        assert len(passes) == calls
+        for runs in passes:
+            if split:
+                assert sorted(n for n, _ in runs) == [rows // 2, rows - rows // 2]
+                assert len({ident for _, ident in runs}) == 2
+                assert here in {ident for _, ident in runs}
+            else:
+                assert runs == [(rows, here)]
 
 
 class TestBackwardThreads:
