@@ -44,13 +44,20 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                               f"expected {MAGIC!r}")
     pos = len(MAGIC)
     out: dict[str, np.ndarray] = {}
+    # slices of a view copy nothing, so a payload's one copy is its array. A
+    # bytes copy of each payload, freed at once, leaves free chunks above the
+    # arrays in the never-trimmed heap (tensor.py, "Allocator policy"); a
+    # small allocation landing there can keep the largest array, once the
+    # state is dropped, from rejoining the heap's top, and peak RSS then
+    # varies from run to run
+    view = memoryview(blob)
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal pos
         if pos + n > len(blob):
             raise CheckpointError(f"truncated checkpoint: needed {n} bytes for "
                                   f"{what} at offset {pos}, have {len(blob) - pos}")
-        chunk = blob[pos:pos + n]
+        chunk = view[pos:pos + n]
         pos += n
         return chunk
 
@@ -58,7 +65,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (nlen,) = struct.unpack("<I", take(4, "name length"))
         raw = take(nlen, "name")
         try:
-            name = raw.decode("utf-8")
+            name = str(raw, "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"record name of {nlen} bytes at offset {pos - nlen} "
                                   f"is not UTF-8") from None

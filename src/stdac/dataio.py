@@ -31,8 +31,9 @@ class ImageSet:
         self.images = np.asarray(self.images, dtype=np.float64)
         if self.images.ndim != 4:
             raise ShapeError(f"images must be (n, h, w, c), got {self.images.ndim} axes")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ConfigurationError("pixel values must lie in [0, 1]")
+        # min() and max() propagate NaN, which fails both comparisons
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
+            raise ConfigurationError("pixel values must be finite and lie in [0, 1]")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (len(self.images),):

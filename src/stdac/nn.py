@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, ShapeError
-from .tensor import Tensor, both, grad_enabled, split_rows
+from .tensor import SPLIT_MIN_WORK, Tensor, both, grad_enabled, split_rows
 
 # ---------------------------------------------------------------------------
 # parameters and initialization
@@ -53,6 +53,15 @@ def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> 
 
 # ---------------------------------------------------------------------------
 # convolution
+
+
+# conv2d builds its im2col columns, and backward its input-gradient columns,
+# one block of images at a time: about this many floats (8 MiB), so a
+# block's columns are still in cache when its GEMM reads them. 2^19 to 2^20
+# ran fastest in a sweep over 2^17 to 2^22. A block is a row block of the
+# whole GEMM, so it keeps the bytes of those rows while it has at least
+# SPLIT_MIN_WORK multiply-adds (README, "Threads").
+COLS_BLOCK_FLOATS = 1 << 20
 
 
 def _pad_amounts(k: int) -> tuple[int, int]:
@@ -99,14 +108,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
                 .transpose(0, 1, 2, 4, 5, 3)
                 .reshape((hi - lo) * pixels, depth))
 
+    # images per block: COLS_BLOCK_FLOATS of columns, but at least
+    # SPLIT_MIN_WORK multiply-adds, above OpenBLAS's small-matrix bound
+    per_block = max(COLS_BLOCK_FLOATS // max(pixels * depth, 1),
+                    -(-SPLIT_MIN_WORK // max(pixels * depth * c_out, 1)))
+
+    def blocks(lo, hi):
+        # near-equal blocks of the images lo..hi, none below per_block; a
+        # range under 2 * per_block is one block
+        count = max((hi - lo) // per_block, 1)
+        edges = [lo + (hi - lo) * k // count for k in range(count + 1)]
+        return zip(edges, edges[1:])
+
     wmat = kernel.data.reshape(depth, c_out)
     y = np.empty((n * pixels, c_out))
 
     def forward(lo, hi):
-        # each half's padded input and columns die with this call
-        rows = y[lo * pixels:hi * pixels]
-        np.matmul(im2col(lo, hi), wmat, out=rows)
-        rows += bias.data
+        # each block's padded input and columns die with its GEMM
+        for a, b in blocks(lo, hi):
+            rows = y[a * pixels:b * pixels]
+            np.matmul(im2col(a, b), wmat, out=rows)
+            rows += bias.data
 
     split_rows(n, pixels * depth * c_out, forward)
     y = y.reshape(n, ho, wo, c_out)
@@ -121,22 +143,25 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
                 # times the input per conv would otherwise stay alive from
                 # forward to backward (about 175 MB of a batch-128 graph),
                 # and the same copy of the same values keeps dW's bits. The
-                # GEMM sums over the rows, so it is not split.
+                # GEMM sums over the rows, so it is neither split nor blocked.
                 return (im2col(0, n).T @ g2).reshape(kh, kw, c_in, c_out)
 
             def input_grad():
-                dcols = (g2 @ wmat.T).reshape(n, ho, wo, kh, kw, c_in)
-                # col2im into the unpadded dx: offset (i, j) covers padded
-                # rows i..i+ho and columns j..j+wo, clipped to the crop at
-                # (pt, pl); each element gets its additions in (i, j) order
                 dx = np.zeros(xd.shape)
-                for i in range(kh):
-                    r0, r1 = max(i, pt), min(i + ho, pt + h)
-                    for j in range(kw):
-                        c0, c1 = max(j, pl), min(j + wo, pl + w)
-                        if r0 < r1 and c0 < c1:
-                            dx[:, r0 - pt:r1 - pt, c0 - pl:c1 - pl, :] += \
-                                dcols[:, r0 - i:r1 - i, c0 - j:c1 - j, i, j, :]
+                for a, b in blocks(0, n):
+                    dcols = np.matmul(g2[a * pixels:b * pixels], wmat.T).reshape(
+                        b - a, ho, wo, kh, kw, c_in)
+                    # col2im into the unpadded dx: offset (i, j) covers padded
+                    # rows i..i+ho and columns j..j+wo, clipped to the crop at
+                    # (pt, pl); each element gets its additions in (i, j) order
+                    dxb = dx[a:b]
+                    for i in range(kh):
+                        r0, r1 = max(i, pt), min(i + ho, pt + h)
+                        for j in range(kw):
+                            c0, c1 = max(j, pl), min(j + wo, pl + w)
+                            if r0 < r1 and c0 < c1:
+                                dxb[:, r0 - pt:r1 - pt, c0 - pl:c1 - pl, :] += \
+                                    dcols[:, r0 - i:r1 - i, c0 - j:c1 - j, i, j, :]
                 return dx
 
             # the kernel gradient runs on the side thread beside the input's

@@ -28,7 +28,8 @@ of a one-thread run:
   - the large forward GEMMs of `conv2d` and `matmul` give each thread half
     of the batch rows (`split_rows`): a row half keeps the bytes of those
     rows of the whole GEMM while both stay on OpenBLAS's large-matrix path
-    (see `SPLIT_MIN_WORK`);
+    (see `SPLIT_MIN_WORK`); `conv2d` runs each half in blocks of images,
+    by the rule in README's "Threads";
   - the per-image passes give each thread half of the images the same way
     (see `SPLIT_MIN_FLOATS`): `batch_norm`'s centre, square, scale and shift
     passes in forward and its recompute and `dx` passes in backward, both
@@ -89,8 +90,9 @@ def _keep_freed_memory() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # above the largest per-step array, the im2col columns of block2/conv at
-    # evaluation batch 256: 220.5 MiB
+    # above the largest per-step array, the kernel-gradient columns of
+    # block2/conv at training batch 128: 110 MiB (forward and the input
+    # gradient build theirs in blocks of about 8 MiB)
     mallopt(_M_MMAP_THRESHOLD, 256 << 20)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
     mallopt(_M_ARENA_MAX, 1)
@@ -388,9 +390,6 @@ class Tensor:
                         _unbroadcast(-g * self.data / (other.data * other.data), other.shape))
             out._backward = bwd
         return out
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     # -- linear algebra / shaping ----------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from stdac.tensor import Tensor, no_grad
 
 
 def gradcheck(func, inputs: tuple[Tensor, ...], eps: float = 1e-5,

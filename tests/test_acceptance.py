@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import mnist_dir, record_criterion
+from gradcheck import gradcheck
 from oracles import brute_force_accuracy, direct_entropy_nmi, pair_counting_ari
 from stdac.dac import (
     Backbone,
@@ -29,7 +30,6 @@ from stdac.dac import (
     pairwise_similarity,
 )
 from stdac.dataio import AugmentConfig, load_idx, make_synthetic_glyphs, read_idx, write_idx
-from stdac.gradcheck import gradcheck
 from stdac.harness import ExperimentConfig, config_from_text, find_idx_pair, run_experiment
 from stdac.metrics import ari, clustering_accuracy, nmi
 from stdac.nn import batch_norm, conv2d, dense, softmax_rows

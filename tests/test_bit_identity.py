@@ -1,6 +1,7 @@
 """The in-place hot-path ops against the reference implementations in
 `reference_ops`: every output, gradient and buffer must carry the same bits."""
 
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -397,6 +398,67 @@ class TestForwardSplit:
         # 128000 floats, below SPLIT_MIN_FLOATS
         assert n_split == 2 * (4 + (count >= 2)) + 2 * 14 + 1 and n_whole == 0
         assert_same_bits(got, want)
+
+
+class TestConvBlocks:
+    """conv2d's forward and input gradient built in blocks of images against
+    one block per call (`COLS_BLOCK_FLOATS` far above any batch's columns):
+    the same bytes for the output and every gradient, with the blocks the
+    rule gives. Batch 129's halves of 64 and 65 images cut into unequal
+    blocks."""
+
+    @pytest.fixture
+    def gemms(self, monkeypatch):
+        """The images of each np.matmul call, by the thread that made it."""
+        seen = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            seen.append((len(a), threading.get_ident()))
+            return matmul(a, b, **kwargs)
+        monkeypatch.setattr(np, "matmul", recording)
+        return seen
+
+    @pytest.mark.parametrize("batch", [2, 129, 256])
+    @pytest.mark.parametrize("x_shape, k_shape, per_block",
+                             [((14, 14, 64), (3, 3, 64, 128), 9),
+                              ((7, 7, 128), (3, 3, 128, 256), 18)],
+                             ids=["block2", "block3"])
+    def test_matches_one_block(self, batch, x_shape, k_shape, per_block, gemms,
+                               monkeypatch, rng):
+        arrays = [rng.normal(size=(batch,) + x_shape), rng.normal(size=k_shape),
+                  rng.normal(size=k_shape[-1])]
+        y, grads = run_op(nn.conv2d, arrays, 7)
+        pixels = x_shape[0] * x_shape[1]
+        blocks = [(rows // pixels, ident) for rows, ident in gemms]
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "COLS_BLOCK_FLOATS", 1 << 62)
+            y_one, grads_one = run_op(nn.conv2d, arrays, 7)
+        assert_same_bits(y, y_one)
+        for got, want in zip(grads, grads_one, strict=True):
+            assert_same_bits(got, want)
+
+        # forward's blocks cover each thread's half, then backward's cover
+        # the batch on the caller; every block holds per_block images or more
+        # (or the whole range) and fewer than 2 * per_block
+        split = batch // 2 * pixels * int(np.prod(k_shape)) >= tensor.SPLIT_MIN_WORK
+        halves = [batch // 2, batch - batch // 2] if split else [batch]
+        count = sum(max(h // per_block, 1) for h in halves)
+        forward, backward = blocks[:count], blocks[count:]
+        assert sorted(sum(n for n, t in forward if t == ident)
+                      for ident in {t for _, t in forward}) == halves
+        assert backward == [(n, threading.get_ident()) for n, _ in backward]
+        assert sum(n for n, _ in backward) == batch
+        assert len(backward) == max(batch // per_block, 1)
+        assert all(min(per_block, batch) <= n < 2 * per_block for n, _ in blocks)
+
+    def test_block1_is_one_block_per_half(self, gemms, rng):
+        x = Tensor(rng.normal(size=(128, 28, 28, 1)), requires_grad=True)
+        nn.conv2d(x, Tensor(rng.normal(size=(3, 3, 1, 64))),
+                  Tensor(rng.normal(size=64)))._backward(rng.normal(size=(128, 28, 28, 64)))
+        # two forward halves of 64 images, then one input gradient of 128
+        assert sorted(rows // 784 for rows, _ in gemms[:2]) == [64, 64]
+        assert [(rows // 784, t) for rows, t in gemms[2:]] == [(128, threading.get_ident())]
 
 
 def splits(batch, row):

@@ -1,6 +1,7 @@
 """Checkpoint container tests: binary layout, round trips, model state."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestContainer:
         path.write_bytes(blob + blob[len(MAGIC):])
         with pytest.raises(CheckpointError, match="duplicate"):
             load_checkpoint(path)
+
+    def test_load_makes_one_copy_of_each_payload(self, rng, tmp_path):
+        # the file's bytes and the arrays, with no bytes copy of a payload
+        # between them: a freed payload copy sat above the arrays in the heap
+        records = {"big": rng.normal(size=(1024, 1024)), "small": rng.normal(size=64)}
+        path = tmp_path / "m.stdac"
+        save_checkpoint(path, records)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back["big"].flags.writeable
+        assert peak < size + records["big"].nbytes + (1 << 20), (peak, size)
 
     def test_empty_checkpoint_is_empty_dict(self, tmp_path):
         path = tmp_path / "m.stdac"

@@ -135,6 +135,15 @@ class TestImageSet:
         with pytest.raises(ConfigurationError):
             ImageSet(np.full((1, 2, 2, 1), 1.5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pixels(self, value):
+        images = np.full((2, 28, 28, 1), 0.5)
+        images[1, 3, 4, 0] = value
+        with pytest.raises(ConfigurationError, match="finite"):
+            ImageSet(images)
+        with pytest.raises(ConfigurationError, match="finite"):
+            ImageSet(np.full((2, 28, 28, 1), value))
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
             ImageSet(np.zeros((2, 4, 4)))

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gradcheck import gradcheck
 from stdac import nn
 from stdac.errors import ConfigurationError, ShapeError
-from stdac.gradcheck import gradcheck
 from stdac.optim import Adam
 from stdac.tensor import Tensor, no_grad
 
@@ -87,6 +87,21 @@ class TestConv:
         finally:
             tracemalloc.stop()
         assert held < 2 * y.data.nbytes, (held, y.data.nbytes)
+
+    def test_forward_holds_a_few_blocks_of_columns(self, rng):
+        # block2/conv at evaluation batch 256: each thread builds the columns
+        # of one block of 9 or 10 images at a time, about 8 MiB, not all of
+        # its half's 110 MiB at once
+        x = Tensor(rng.normal(size=(256, 14, 14, 64)))
+        k, b = Tensor(rng.normal(size=(3, 3, 64, 128))), Tensor(np.zeros(128))
+        tracemalloc.start()
+        try:
+            y = nn.conv2d(x, k, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus four blocks' columns; the halves' columns were 231 MB
+        assert peak < y.data.nbytes + 4 * (8 << 20), (peak, y.data.nbytes)
 
 
 class TestMaxPool:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from gradcheck import gradcheck
 from stdac.errors import ShapeError
-from stdac.gradcheck import gradcheck
 from stdac.stn import (
     THETA_BIAS,
     LocalizationNet,

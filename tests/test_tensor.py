@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from gradcheck import gradcheck
 from stdac.errors import GradientNaN, GraphReleased, ShapeError
-from stdac.gradcheck import gradcheck
 from stdac.tensor import Tensor, no_grad
 
 

@@ -85,7 +85,8 @@ class TestBoth:
 
 class TestForwardThreads:
     """The large forward GEMMs give the side thread half of the batch rows;
-    the small ones run whole on the caller."""
+    the small ones run whole on the caller. A conv runs each half's GEMM in
+    blocks of images."""
 
     @pytest.fixture
     def matmuls(self, monkeypatch):
@@ -107,7 +108,19 @@ class TestForwardThreads:
         x = Tensor(rng.normal(size=x_shape))
         y = nn.conv2d(x, Tensor(rng.normal(size=k_shape)),
                       Tensor(rng.normal(size=k_shape[-1])), padding)
-        self.check(matmuls, y.shape[0] * y.shape[1] * y.shape[2], split)
+        rows = y.shape[0] * y.shape[1] * y.shape[2]
+        if not split:
+            self.check(matmuls, rows, split)
+            return
+        # each thread's blocks add up to its half, and each block's M*K*N
+        # stays at SPLIT_MIN_WORK or more
+        here, per_thread = threading.get_ident(), {}
+        for n, ident in matmuls:
+            per_thread[ident] = per_thread.get(ident, 0) + n
+        assert sorted(per_thread.values()) == [rows // 2, rows - rows // 2]
+        assert len(per_thread) == 2 and here in per_thread
+        assert len(matmuls) > 2
+        assert all(n * np.prod(k_shape) >= tensor.SPLIT_MIN_WORK for n, _ in matmuls)
 
     @pytest.mark.parametrize("d_in, d_out, split", [
         (2304, 3096, True),     # fc/dense
