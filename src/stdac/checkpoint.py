@@ -12,6 +12,7 @@ are stored as ordinary named records so eval mode survives a round trip.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -22,17 +23,28 @@ MAGIC = b"STDAC01"
 
 
 def save_checkpoint(path, records: dict[str, np.ndarray]) -> None:
-    """Write named arrays in insertion order."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        for name, arr in records.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+    """Write named arrays in insertion order. The file at `path` is replaced
+    whole or not at all: the records go to a temp file beside it, which is
+    synced and then renamed onto `path`, or removed if anything fails."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(MAGIC)
+            for name, arr in records.items():
+                arr = np.asarray(arr, dtype=np.float64)
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<I", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

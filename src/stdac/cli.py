@@ -34,7 +34,7 @@ def backbone_from_state(state: dict[str, np.ndarray]) -> Backbone:
         raise ConfigurationError(f"checkpoint record head/dense/bias has shape "
                                  f"{head_bias.shape}; a backbone's has one axis")
     model = Backbone(BackboneConfig(st_layer_count=st_count,
-                                    cluster_count=head_bias.shape[0]))
+                                    cluster_count=head_bias.shape[0]), seed=None)
     model.load_state(state)
     return model
 

@@ -56,22 +56,15 @@ class Backbone(Module):
 
     Parameter names depend only on the layer, not on which ST layers exist,
     so two configs sharing a layer initialize it identically from one seed.
+    seed=None draws nothing and leaves the weights unset, for a model that
+    `load_state` fills next (`cli.backbone_from_state`).
     force_identity_theta=True samples every ST layer with the identity theta.
 
-    Each conv block ends in `nn.bn_relu_pool`. With a graph recorded it
-    pools the BN output and then rectifies the pooled map: max commutes with
-    ReLU, which maps every value <= 0 to +0.0, so values and gradients keep
-    their bytes (the helper's docstring gives the gradient argument). In
-    eval mode with no graph recorded, where a block's gammas are all >= 0, it
-    pools the conv output, then normalizes and rectifies the pooled map: eval
-    BN then ReLU is a chain of correctly rounded steps, each non-decreasing
-    per channel (constant where gamma == 0), so the window max commutes with
-    it. Any gamma < 0 keeps the graph order. The features keep every byte of
-    the BN -> ReLU -> pool order but the sign of a zero, which can differ only
-    where a BN beta is exactly -0.0; Adam never makes one from the +0.0 init.
+    Each conv block ends in `nn.bn_relu_pool`, whose docstring says in which
+    order it pools, normalizes and rectifies, and why no feature byte moves.
     """
 
-    def __init__(self, config: BackboneConfig, seed: int = 0):
+    def __init__(self, config: BackboneConfig, seed: int | None = 0):
         self.config = config
         s = config.input_size
         s2, s3 = s // 4, s // 8

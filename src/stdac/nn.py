@@ -31,23 +31,31 @@ class Parameter(Tensor):
         self.name = name
 
 
-def param_rng(seed: int, name: str) -> np.random.Generator:
-    """Generator keyed by (seed, parameter name).
+def param_rng(seed: int | None, name: str) -> np.random.Generator | None:
+    """Generator keyed by (seed, parameter name), or None for a None seed.
 
     Keying on the name rather than creation order keeps shared layers
     identically initialized across model variants that add or drop other
-    layers (the spatial-transformer ablations).
+    layers (the spatial-transformer ablations). With None, the initializers
+    draw nothing and leave their arrays unset (`dac.Backbone`).
     """
+    if seed is None:
+        return None
     return np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(name.encode()))))
 
 
 def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: np.random.Generator | None) -> np.ndarray:
+    if rng is None:
+        return np.empty(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
+def he_normal(shape: tuple[int, ...], fan_in: int,
+              rng: np.random.Generator | None) -> np.ndarray:
+    if rng is None:
+        return np.empty(shape)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
@@ -396,7 +404,8 @@ class Module:
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Copy `state` into the model in place; its names and shapes must
-        match the model's exactly."""
+        match the model's exactly, and are all checked before any value is
+        written, so a failed load leaves the model as it was."""
         own = {p.name: p.data for p in self.params()}
         own.update(self.buffers())
         if set(state) != set(own):
@@ -405,16 +414,16 @@ class Module:
             raise CheckpointError(f"state does not match model: missing {missing}, "
                                   f"unexpected {extra}")
         for name, arr in state.items():
-            target = own[name]
-            if target.shape != arr.shape:
+            if own[name].shape != arr.shape:
                 raise CheckpointError(f"shape mismatch for {name!r}: "
-                                      f"model {target.shape}, checkpoint {arr.shape}")
-            target[...] = arr
+                                      f"model {own[name].shape}, checkpoint {arr.shape}")
+        for name, arr in state.items():
+            own[name][...] = arr
 
 
 class Conv2d(Module):
     def __init__(self, kh: int, kw: int, c_in: int, c_out: int, name: str,
-                 seed: int, padding: str = "same", init: str = "he"):
+                 seed: int | None, padding: str = "same", init: str = "he"):
         rng = param_rng(seed, name)
         fan_in = kh * kw * c_in
         fan_out = kh * kw * c_out
@@ -431,7 +440,7 @@ class Conv2d(Module):
 
 
 class Dense(Module):
-    def __init__(self, d_in: int, d_out: int, name: str, seed: int, init: str = "he"):
+    def __init__(self, d_in: int, d_out: int, name: str, seed: int | None, init: str = "he"):
         rng = param_rng(seed, name)
         if init == "he":
             w = he_normal((d_in, d_out), d_in, rng)
@@ -474,8 +483,12 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
     where it is <= 0 it is +0.0 everywhere, since `accumulate_grad` adds a
     -0.0 as +0.0. The graph then holds no full-size ReLU output or mask.
     Eval mode with no graph recorded pools x first where every gamma is
-    >= 0, then normalizes and rectifies the pooled map (`dac.Backbone` says
-    why the bytes stay the same); any gamma < 0 keeps the graph order.
+    >= 0, then normalizes and rectifies the pooled map: eval BN then ReLU is
+    a chain of correctly rounded steps, each non-decreasing per channel
+    (constant where gamma == 0), so the window max commutes with it. Any
+    gamma < 0 keeps the graph order. The features keep every byte of the
+    BN -> ReLU -> pool order but the sign of a zero, which can differ only
+    where a BN beta is exactly -0.0; Adam never makes one from the +0.0 init.
     """
     if train or grad_enabled() or (bn.gamma.data < 0).any():
         return maxpool2d(bn(x, train)).relu()

@@ -137,7 +137,7 @@ class LocalizationNet(Module):
     [[0.99, 0, 0], [0, 0.99, 0]] for every input.
     """
 
-    def __init__(self, size: int, channels: int, name: str, seed: int):
+    def __init__(self, size: int, channels: int, name: str, seed: int | None):
         c2 = (size // 2 - 4) // 2 - 4   # side after pool, conv 5x5, pool, conv 5x5
         if c2 >= 1:
             self.conv1 = Conv2d(5, 5, channels, 20, f"{name}/conv1", seed,
@@ -167,7 +167,7 @@ class SpatialTransformer(Module):
     """Resolution-preserving spatial transformer: predict theta from the
     input, build the sampling grid, resample the input."""
 
-    def __init__(self, size: int, channels: int, name: str, seed: int):
+    def __init__(self, size: int, channels: int, name: str, seed: int | None):
         self.size = size
         self.locnet = LocalizationNet(size, channels, f"{name}/loc", seed)
 

@@ -16,31 +16,10 @@ found, nothing changes.
 
 Training and evaluation use two cores. `both(f, g)` starts a side thread
 for `f()` and waits for its result within the call, while the caller runs
-`g()`; a thread costs about 0.1 ms, a few ms of a training step. The split is fixed
-at two threads, not read from the core count, and each result keeps the bits
-of a one-thread run:
-  - a backward op hands the side thread one of two calls that do not depend
-    on each other, with the same arguments it would pass inline: `conv2d`'s
-    kernel gradient beside its input gradient, `matmul`'s right-hand
-    gradient beside its left-hand one, `batch_norm`'s sum of the output
-    gradient beside its sum of that gradient times `xhat`, and one half of
-    `Adam.step`'s blocks beside the other;
-  - the large forward GEMMs of `conv2d` and `matmul` give each thread half
-    of the batch rows (`split_rows`): a row half keeps the bytes of those
-    rows of the whole GEMM while both stay on OpenBLAS's large-matrix path
-    (see `SPLIT_MIN_WORK`); `conv2d` runs each half in blocks of images,
-    by the rule in README's "Threads";
-  - the per-image passes give each thread half of the images the same way
-    (see `SPLIT_MIN_FLOATS`): `batch_norm`'s centre, square, scale and shift
-    passes in forward and its recompute and `dx` passes in backward, both
-    `maxpool2d` passes, and the `relu` forward. Each value is one correctly
-    rounded step on its own element, or the max of one 2x2 window, which
-    never crosses an image, so no byte depends on where the rows are cut.
-    Every channel reduction (`batch_norm`'s mean, its sum of squares and
-    the two sums of backward) stays one whole call on a buffer laid out as
-    before, since a reduction split in two rounds otherwise. A half is a
-    closure over slices of NumPy arrays, so the side thread still touches
-    NumPy arrays only.
+`g()`; a thread costs about 0.1 ms, a few ms of a training step. The split is
+fixed at two threads, not read from the core count, and each result keeps the
+bits of a one-thread run. README's "Threads" says which calls split, by what
+rule (`SPLIT_MIN_WORK`, `SPLIT_MIN_FLOATS`) and why no byte moves.
 The rules:
   - the side thread does NumPy array work only, in closures over arrays
     and `Adam._update`; it never touches a Tensor, the graph,

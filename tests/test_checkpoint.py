@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import test_dac
+from stdac import nn
 from stdac.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from stdac.cli import backbone_from_state
-from stdac.dac import Backbone, BackboneConfig
+from stdac.dac import Backbone, BackboneConfig, predict_features
+from stdac.dataio import make_synthetic_glyphs
 from stdac.errors import CheckpointError
 from stdac.tensor import Tensor
 
@@ -93,6 +96,19 @@ class TestContainer:
         assert back["big"].flags.writeable
         assert peak < size + records["big"].nbytes + (1 << 20), (peak, size)
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "m.stdac"
+        save_checkpoint(path, {"old": np.arange(3.0)})
+        before = path.read_bytes()
+        # the second record cannot be cast to float64, after the first is written
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"a": np.zeros(3), "b": np.array(["x"])})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.stdac"]
+        save_checkpoint(path, {"new": np.ones(2)})
+        assert list(load_checkpoint(path)) == ["new"]
+        assert [p.name for p in tmp_path.iterdir()] == ["m.stdac"]
+
     def test_empty_checkpoint_is_empty_dict(self, tmp_path):
         path = tmp_path / "m.stdac"
         save_checkpoint(path, {})
@@ -144,6 +160,17 @@ class TestModelState:
         state[name] = np.zeros(state[name].shape + (2,))
         with pytest.raises(CheckpointError, match="shape"):
             model.load_state(state)
+
+    def test_failed_load_leaves_the_model_unchanged(self):
+        cfg = BackboneConfig(st_layer_count=1, cluster_count=4, input_size=8)
+        model = Backbone(cfg, seed=1)
+        before = {k: v.tobytes() for k, v in model.state_dict().items()}
+        state = Backbone(cfg, seed=2).state_dict()
+        last = list(state)[-1]
+        state[last] = np.zeros(state[last].size + 1)
+        with pytest.raises(CheckpointError, match=f"shape mismatch for '{last}'"):
+            model.load_state(state)
+        assert {k: v.tobytes() for k, v in model.state_dict().items()} == before
 
     def test_st_count_mismatch_is_detected(self):
         small = Backbone(BackboneConfig(st_layer_count=0, cluster_count=4, input_size=8))
@@ -203,3 +230,47 @@ class TestRecordOrder:
         twin = backbone_from_state(load_checkpoint(first))
         save_checkpoint(second, twin.state_dict())
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestRestore:
+    """`backbone_from_state` builds the model without an init (seed None) and
+    fills every value from the checkpoint."""
+
+    @staticmethod
+    def saved(tmp_path, st_count):
+        model = Backbone(BackboneConfig(st_layer_count=st_count), seed=3)
+        test_dac.TestEvalPoolsFirst.perturbed(model, st_count)
+        path = tmp_path / "m.stdac"
+        save_checkpoint(path, model.state_dict())
+        return model, load_checkpoint(path)
+
+    def test_restore_draws_no_init(self, tmp_path, monkeypatch):
+        _, state = self.saved(tmp_path, 1)
+        seeded = nn.param_rng
+
+        def unseeded_only(seed, name):
+            if seed is not None:
+                raise AssertionError(f"restore drew an init for {name}")
+            return seeded(seed, name)
+        monkeypatch.setattr(nn, "param_rng", unseeded_only)
+        model = backbone_from_state(state)
+        assert model.config.st_layer_count == 1
+
+    @pytest.mark.parametrize("st_count", [0, 1, 3])
+    def test_every_value_is_the_checkpoint_s(self, tmp_path, st_count):
+        _, state = self.saved(tmp_path, st_count)
+        model = backbone_from_state(state)
+        values = {p.name: p.data for p in model.params()}
+        values.update(model.buffers())
+        assert list(values) == list(state)
+        for name, arr in values.items():
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+            assert arr.shape == state[name].shape, name
+            assert arr.tobytes() == state[name].tobytes(), name
+
+    def test_restored_features_equal_the_saved_model_s(self, tmp_path):
+        images = make_synthetic_glyphs(385, seed=1).images
+        model, state = self.saved(tmp_path, 1)
+        want = predict_features(model, images)
+        got = predict_features(backbone_from_state(state), images)
+        assert got.tobytes() == want.tobytes()
