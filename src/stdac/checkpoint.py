@@ -12,6 +12,7 @@ are stored as ordinary named records so eval mode survives a round trip.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -83,7 +84,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                                   f"is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)
         payload = take(8 * count, f"payload of {name!r}")
         arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
         if name in out:

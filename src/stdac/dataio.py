@@ -9,6 +9,7 @@ are transparently (de)compressed.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ def read_idx(path) -> np.ndarray:
         raise IdxFormatError(f"{path}: truncated header: expected {header} bytes, "
                              f"have {len(blob)}")
     shape = struct.unpack(f">{rank}I", blob[4:header])
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)
     expected = header + count
     if len(blob) != expected:
         raise IdxFormatError(f"{path}: truncated payload: expected {expected} bytes "

@@ -9,6 +9,7 @@ values survive a round trip exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -74,6 +75,9 @@ class ExperimentConfig:
     synthetic_count: int = 1000     # dataset size when dataset=synthetic
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         # train-mode batch norm needs a batch of two, and pairs need two images
         minimums = {"repeats": 1, "max_epochs": 0, "subset": 0, "batch_size": 2}
         if self.dataset == "synthetic":
@@ -455,6 +459,8 @@ def _run_experiment(cfg: ExperimentConfig, data: ImageSet,
     (base / "curves").mkdir(parents=True, exist_ok=True)
     (base / "checkpoints").mkdir(parents=True, exist_ok=True)
     write_config(base / "config.txt", cfg)
+    # an earlier failed run's INCOMPLETE note is not this run's
+    (base / "manifest.txt").unlink(missing_ok=True)
 
     run_records: list[list[EpochRecord]] = []
     run_csvs: list[Path] = []

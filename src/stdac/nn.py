@@ -199,9 +199,8 @@ def maxpool2d(x: Tensor) -> Tensor:
     y = np.empty((n, h // 2, w // 2, c))
 
     def forward(lo, hi):
-        first, *rest = _windows(xd[lo:hi])
-        rows = y[lo:hi]
-        np.copyto(rows, first)
+        first, second, *rest = _windows(xd[lo:hi])
+        rows = np.maximum(first, second, out=y[lo:hi])
         for v in rest:
             np.maximum(rows, v, out=rows)
 
@@ -329,29 +328,23 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     out = Tensor.result(ybuf, "batch_norm", (x, gamma, beta))
     if out.requires_grad:
         def bwd(g):
-            x_train = x.requires_grad and train
-            need_xhat = gamma.requires_grad or x_train
-            if need_xhat:
-                # xhat again, with forward's two roundings: the graph keeps
-                # C floats of mu and inv_std, not an input-sized array
-                xhat, gxhat = np.empty_like(xd), np.empty_like(xd)
+            # xhat again, with forward's two roundings: the graph keeps
+            # C floats of mu and inv_std, not an input-sized array
+            xhat, gxhat = np.empty_like(xd), np.empty_like(xd)
 
-                def recompute(lo, hi):
-                    xh = np.subtract(xd[lo:hi], mu, out=xhat[lo:hi])
-                    xh *= inv_std
-                    np.multiply(g[lo:hi], xh, out=gxhat[lo:hi])
+            def recompute(lo, hi):
+                xh = np.subtract(xd[lo:hi], mu, out=xhat[lo:hi])
+                xh *= inv_std
+                np.multiply(g[lo:hi], xh, out=gxhat[lo:hi])
 
-                split_rows(n, row, recompute, elementwise=True)
-
+            split_rows(n, row, recompute, elementwise=True)
             # the sum of g runs on the side thread beside the sum of g * xhat
-            gsum, gx = both(
-                (lambda: g.sum(axis=axes)) if beta.requires_grad or x_train else None,
-                (lambda: gxhat.sum(axis=axes)) if need_xhat else None)
+            gsum, gx = both(lambda: g.sum(axis=axes), lambda: gxhat.sum(axis=axes))
             if gamma.requires_grad:
                 gamma.accumulate_grad(gx)
             if beta.requires_grad:
                 beta.accumulate_grad(gsum)
-            if x_train:
+            if x.requires_grad and train:
                 gx_m, gsum_m, scale = gx / m, gsum / m, gamma.data * inv_std
 
                 def tail(lo, hi):
@@ -481,7 +474,7 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
     are the same, and so are the gradients. Where a window's maximum is > 0
     the gradient goes to the first maximum of the BN output in both orders;
     where it is <= 0 it is +0.0 everywhere, since `accumulate_grad` adds a
-    -0.0 as +0.0. The graph then holds no full-size ReLU output or mask.
+    -0.0 as +0.0. The graph then holds no full-size ReLU output.
     Eval mode with no graph recorded pools x first where every gamma is
     >= 0, then normalizes and rectifies the pooled map: eval BN then ReLU is
     a chain of correctly rounded steps, each non-decreasing per channel

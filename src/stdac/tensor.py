@@ -449,22 +449,15 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         y = np.empty_like(self.data)
-        # derivative taken as 0 at exactly 0
-        mask = (np.empty_like(self.data, dtype=bool)
-                if _grad_enabled and self.requires_grad else None)
         # row views to split; a 0-d tensor is one row
         x, rows_y = np.atleast_1d(self.data, y)
-        rows_mask = None if mask is None else np.atleast_1d(mask)
-
-        def run(lo, hi):
-            np.maximum(x[lo:hi], 0.0, out=rows_y[lo:hi])
-            if rows_mask is not None:
-                np.greater(x[lo:hi], 0.0, out=rows_mask[lo:hi])
-
-        split_rows(len(x), x[:1].size, run, elementwise=True)
+        split_rows(len(x), x[:1].size,
+                   lambda lo, hi: np.maximum(x[lo:hi], 0.0, out=rows_y[lo:hi]),
+                   elementwise=True)
         out = Tensor.result(y, "relu", (self,))
         if out.requires_grad:
-            out._backward = lambda g: self.accumulate_grad(g * mask)
+            # y > 0 exactly where x > 0, NaN and -0.0 included; 0 at exactly 0
+            out._backward = lambda g: self.accumulate_grad(g * (y > 0.0))
         return out
 
     def tanh(self) -> "Tensor":

@@ -62,6 +62,15 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="name"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1)],
+                             ids=["wraps-to-0", "wraps-negative"])
+    def test_size_past_int64_is_a_truncation(self, tmp_path, dims):
+        path = tmp_path / "m.stdac"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + b"w"
+                         + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims))
+        with pytest.raises(CheckpointError, match="payload of 'w'"):
+            load_checkpoint(path)
+
     def test_non_utf8_name_names_offset(self, tmp_path):
         path = tmp_path / "m.stdac"
         save_checkpoint(path, {"x": np.zeros(1)})

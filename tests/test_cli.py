@@ -2,7 +2,8 @@
 
 import re
 import shlex
-from dataclasses import replace
+import struct
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,17 @@ class TestTrain:
         path.write_text(path.read_text() + bad + "\n")
         assert main(["train", "--config", str(path)]) == 2
         assert bad.partition("=")[0] in capsys.readouterr().err
+        assert not (Path(cfg.out_dir) / cfg.name).exists()
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(ExperimentConfig)
+                                       if f.type == "float"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_fails_before_the_run_tree(self, tiny_config, field, value,
+                                                        capsys):
+        cfg, path = tiny_config
+        path.write_text(path.read_text() + f"{field}={value}\n")
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
         assert not (Path(cfg.out_dir) / cfg.name).exists()
 
     def test_unknown_flag_exits_via_argparse(self):
@@ -439,6 +451,15 @@ class TestCheckpointInference:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "head/dense/bias" in err
+
+    def test_a_size_past_int64_is_an_eval_error_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "huge.stdac"
+        ckpt.write_bytes(b"STDAC01" + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<4I", 3, 2**31, 2**31, 4))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", "synthetic"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated checkpoint" in err
 
     def test_non_prefix_st_layers_rejected(self):
         model = Backbone(BackboneConfig(st_layer_count=2, cluster_count=4), seed=0)

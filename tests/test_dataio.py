@@ -99,6 +99,14 @@ class TestIdxFormat:
         with pytest.raises(IdxFormatError, match=rf"{len(whole)}.*{len(whole) - 10}"):
             read_idx(path)
 
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1)],
+                             ids=["wraps-to-0", "wraps-negative"])
+    def test_size_past_int64_is_a_truncation(self, tmp_path, dims):
+        path = tmp_path / "big.idx"
+        path.write_bytes(struct.pack(f">{len(dims) + 1}I", 0x0800 | len(dims), *dims))
+        with pytest.raises(IdxFormatError, match="truncated payload"):
+            read_idx(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         (tmp_path / "a.idx").write_bytes(b"\x00\x00")
         with pytest.raises(IdxFormatError, match="short"):

@@ -376,6 +376,12 @@ class TestRunExperiment:
         manifest = (tmp_path / "tiny" / "manifest.txt").read_text()
         assert "INCOMPLETE" in manifest
 
+    def test_a_good_rerun_removes_the_incomplete_manifest(self, tmp_path):
+        with pytest.raises(NoSelectedPairs):
+            run_experiment(synthetic_config(tmp_path, u0=2.0, l0=-1.0, rate=0.0))
+        run_experiment(synthetic_config(tmp_path, max_epochs=1))
+        assert not (tmp_path / "tiny" / "manifest.txt").exists()
+
     def test_curve_points_equal_csv_rows(self, tmp_path):
         result = run_experiment(synthetic_config(tmp_path))
         _, rows = read_run_csv(result.run_csvs[0])

@@ -237,6 +237,28 @@ class TestBatchNorm:
         gradcheck(lambda *t: (nn.batch_norm(*t, rm, rv, train=False) * w).sum(),
                   (x, g, b))
 
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("wanted", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)],
+                             ids=["x", "gamma", "beta", "x-gamma", "x-beta", "gamma-beta",
+                                  "all"])
+    def test_each_input_gets_the_gradient_it_gets_with_all_three(self, wanted, train, rng):
+        arrays = [rng.normal(1.5, 2.0, size=(6, 4, 4, 8)), rng.normal(size=8),
+                  rng.normal(size=8)]
+        buffers = [rng.normal(size=8), rng.random(8) + 0.5]
+        g = rng.normal(size=arrays[0].shape)
+
+        def grads(requires):
+            leaves = [Tensor(a, requires_grad=i in requires) for i, a in enumerate(arrays)]
+            nn.batch_norm(*leaves, *[b.copy() for b in buffers], train)._backward(g)
+            return [t.grad for t in leaves]
+
+        want, got = grads((0, 1, 2)), grads(wanted)
+        for i in range(3):
+            if i in wanted:
+                assert got[i].tobytes() == want[i].tobytes()
+            else:
+                assert got[i] is None
+
     @pytest.mark.parametrize("train", [True, False])
     def test_graph_holds_no_normalized_copy(self, train, rng):
         # backward recomputes xhat from x, mu and inv_std, so forward leaves

@@ -117,6 +117,21 @@ class TestOps:
         x.relu().sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("shape", [(4, 5), (128, 7, 7, 64)], ids=["whole", "split"])
+    def test_relu_grad_is_g_where_x_is_positive(self, shape, rng):
+        # backward reads y, not x: y > 0 must hold exactly where x > 0, signed
+        # zeros, NaNs and infinities included. A half of the split shape holds
+        # 64 * 7 * 7 * 64 floats, past SPLIT_MIN_FLOATS
+        x = rng.normal(size=shape)
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+        for i, v in enumerate(special):
+            x.reshape(-1)[i::2 * len(special)] = v
+        g = rng.normal(size=shape)
+        leaf = Tensor(x, requires_grad=True)
+        leaf.relu()._backward(g)
+        # accumulate_grad's first write adds 0.0, as it does to any gradient
+        assert leaf.grad.tobytes() == (g * (x > 0) + 0.0).tobytes()
+
     def test_tanh_value(self):
         assert Tensor(1.0).tanh().item() == pytest.approx(0.761594156, abs=1e-9)
 
