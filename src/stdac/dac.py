@@ -225,9 +225,6 @@ class EpochRecord:
 class FitResult:
     model: "Backbone"
     records: list[EpochRecord]
-    best_state: dict[str, np.ndarray]
-    best_acc: float
-    best_epoch: int
 
 
 def train_epoch(model: Backbone, images: np.ndarray, schedule: ThresholdSchedule,
@@ -301,18 +298,15 @@ def fit(settings: TrainSettings, images: np.ndarray,
     """Train until the threshold band closes or max_epochs, whichever first.
 
     Evaluates on the full unaugmented data after every epoch (transductive
-    protocol) and snapshots the best-ACC parameters; without labels the final
-    state doubles as the snapshot. max_epochs=0 just evaluates the random
-    initialization (single epoch-0 row, NaN loss).
+    protocol); the labels only score the records, and the returned model is
+    the final one. max_epochs=0 just evaluates the random initialization
+    (single epoch-0 row, NaN loss).
     """
     model = Backbone(settings.backbone, settings.seed)
     opt = Adam(model.params(), settings.lr, settings.beta1, settings.beta2,
                settings.adam_eps)
     sched = settings.schedule
     records: list[EpochRecord] = []
-    best_state: dict[str, np.ndarray] | None = None
-    best_acc = float("-inf")
-    best_epoch = 0
 
     for epoch in range(1, settings.max_epochs + 1):
         stats = train_epoch(model, images, sched, opt,
@@ -324,10 +318,6 @@ def fit(settings: TrainSettings, images: np.ndarray,
                                    acc, nmi_v, ari_v, sched.lam, sched.u, sched.l))
         if progress is not None:
             progress(records[-1])
-        if labels is not None and acc > best_acc:
-            best_acc = acc
-            best_epoch = epoch
-            best_state = model.state_dict()
         sched = sched.advanced()
         if sched.stop:
             break
@@ -336,8 +326,4 @@ def fit(settings: TrainSettings, images: np.ndarray,
         acc, nmi_v, ari_v = evaluate(model, images, labels)
         records.append(EpochRecord(0, float("nan"), float("nan"), acc, nmi_v,
                                    ari_v, sched.lam, sched.u, sched.l))
-    if best_state is None:
-        best_state = model.state_dict()
-        best_epoch = records[-1].epoch
-        best_acc = records[-1].acc
-    return FitResult(model, records, best_state, best_acc, best_epoch)
+    return FitResult(model, records)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -103,6 +104,7 @@ def config_from_text(text: str) -> ExperimentConfig:
     """Parse `key=value` lines (# comments and blanks ignored) into a config."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,6 +115,10 @@ def config_from_text(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in types:
             raise ConfigurationError(f"unknown config key {key!r} on line {lineno}")
+        if key in key_lines:
+            raise ConfigurationError(f"config key {key!r} on line {lineno} repeats "
+                                     f"line {key_lines[key]}")
+        key_lines[key] = lineno
         t = types[key]
         try:
             if t == "int":
@@ -445,7 +451,7 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     """Train `repeats` times with seeds seed..seed+repeats-1; write one CSV
-    and one best-parameters checkpoint per run, then the aggregate summary
+    and one final-parameters checkpoint per run, then the aggregate summary
     and the per-metric curves. Failures leave completed runs on disk and a
     manifest note before propagating. `progress`, if given, is called as
     progress(label, record) after each epoch; the label names the run
@@ -459,8 +465,12 @@ def _run_experiment(cfg: ExperimentConfig, data: ImageSet,
     (base / "curves").mkdir(parents=True, exist_ok=True)
     (base / "checkpoints").mkdir(parents=True, exist_ok=True)
     write_config(base / "config.txt", cfg)
-    # an earlier failed run's INCOMPLETE note is not this run's
+    # an earlier failed run's INCOMPLETE note is not this run's, nor are an
+    # earlier experiment's runs past this one's repeats
     (base / "manifest.txt").unlink(missing_ok=True)
+    for path in [*base.glob("run*.csv"), *base.glob("checkpoints/run*.stdac")]:
+        if re.fullmatch(r"run[1-9]\d*", path.stem) and int(path.stem[3:]) > cfg.repeats:
+            path.unlink()
 
     run_records: list[list[EpochRecord]] = []
     run_csvs: list[Path] = []
@@ -476,7 +486,7 @@ def _run_experiment(cfg: ExperimentConfig, data: ImageSet,
             csv_path = base / f"run{i + 1}.csv"
             write_run_csv(csv_path, cfg, result.records)
             ckpt_path = base / "checkpoints" / f"run{i + 1}.stdac"
-            save_checkpoint(ckpt_path, result.best_state)
+            save_checkpoint(ckpt_path, result.model.state_dict())
             run_records.append(result.records)
             run_csvs.append(csv_path)
             checkpoints.append(ckpt_path)

@@ -371,8 +371,9 @@ def test_synthetic_end_to_end_training_standin():
         schedule=ThresholdSchedule(rate=0.006),
         max_epochs=10, batch_size=64, seed=0)
     result = fit(settings, data.images, data.labels)
-    assert result.best_acc >= 0.5
-    assert result.best_acc >= result.records[0].acc
+    best_acc = max(r.acc for r in result.records)
+    assert best_acc >= 0.5
+    assert best_acc >= result.records[0].acc
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ def train(tiny_config, capsys):
     return cfg, capsys.readouterr().out
 
 
+def set_key(path, setting):
+    """Rewrite a config file with `setting` ("key=value") in place of its key's line."""
+    key = setting.partition("=")[0]
+    kept = [l for l in path.read_text().splitlines() if l.partition("=")[0] != key]
+    path.write_text("".join(f"{l}\n" for l in [*kept, setting]))
+
+
 class TestTrain:
     def test_writes_run_tree_and_prints_summary(self, tiny_config, capsys):
         cfg, out = train(tiny_config, capsys)
@@ -66,7 +73,7 @@ class TestTrain:
                                      "scale_min=2.0", "dataset=bogus", "batch_size=abc"])
     def test_bad_config_fails_before_the_run_tree(self, tiny_config, bad, capsys):
         cfg, path = tiny_config
-        path.write_text(path.read_text() + bad + "\n")
+        set_key(path, bad)
         assert main(["train", "--config", str(path)]) == 2
         assert bad.partition("=")[0] in capsys.readouterr().err
         assert not (Path(cfg.out_dir) / cfg.name).exists()
@@ -77,9 +84,17 @@ class TestTrain:
     def test_non_finite_float_fails_before_the_run_tree(self, tiny_config, field, value,
                                                         capsys):
         cfg, path = tiny_config
-        path.write_text(path.read_text() + f"{field}={value}\n")
+        set_key(path, f"{field}={value}")
         assert main(["train", "--config", str(path)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (Path(cfg.out_dir) / cfg.name).exists()
+
+    def test_repeated_key_fails_before_the_run_tree(self, tiny_config, capsys):
+        cfg, path = tiny_config
+        path.write_text(path.read_text() + "seed=1\n")
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'seed' on line" in err and "repeats line" in err
         assert not (Path(cfg.out_dir) / cfg.name).exists()
 
     def test_unknown_flag_exits_via_argparse(self):
@@ -167,7 +182,7 @@ class TestSweep:
 
         (single,) = epoch_lines([])
         assert single.startswith("epoch 1: loss ")
-        path.write_text(path.read_text() + "repeats=2\n")
+        set_key(path, "repeats=2")
         first, second = epoch_lines([])
         assert first == f"run1 {single}"
         assert second.startswith("run2 epoch 1: loss ")

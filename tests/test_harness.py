@@ -2,18 +2,21 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stdac.checkpoint import load_checkpoint
-from stdac.dac import Backbone, BackboneConfig, EpochRecord
-from stdac.dataio import make_synthetic_glyphs, save_idx
+from stdac.cli import backbone_from_state
+from stdac.dac import Backbone, BackboneConfig, EpochRecord, evaluate
+from stdac.dataio import ImageSet, make_synthetic_glyphs, save_idx
 from stdac.errors import ConfigurationError, NoSelectedPairs
 from stdac.harness import (
     ExperimentConfig,
     METRIC_COLUMNS,
     VERSION_LINE,
+    _run_experiment,
     class_statistics,
     config_from_text,
     config_to_text,
@@ -91,6 +94,10 @@ class TestConfigText:
     def test_bad_boolean_rejected(self):
         with pytest.raises(ConfigurationError, match="maybe"):
             config_from_text("augment=maybe\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigurationError, match=r"'seed' on line 3 repeats line 1"):
+            config_from_text("seed=1\nname=x\nseed=2\n")
 
 
 class TestRunCsv:
@@ -381,6 +388,29 @@ class TestRunExperiment:
             run_experiment(synthetic_config(tmp_path, u0=2.0, l0=-1.0, rate=0.0))
         run_experiment(synthetic_config(tmp_path, max_epochs=1))
         assert not (tmp_path / "tiny" / "manifest.txt").exists()
+
+    def test_fewer_repeats_remove_the_earlier_runs_past_them(self, tmp_path):
+        run_experiment(synthetic_config(tmp_path, repeats=2, max_epochs=1))
+        base = tmp_path / "tiny"
+        (base / "notes.csv").write_text("kept\n")
+        run_experiment(synthetic_config(tmp_path, repeats=1, max_epochs=1))
+        assert sorted(p.name for p in base.glob("*.csv")) == ["notes.csv", "run1.csv",
+                                                              "summary.csv"]
+        assert [p.name for p in (base / "checkpoints").iterdir()] == ["run1.stdac"]
+
+    def test_the_checkpoint_is_the_final_model_whatever_the_labels(self, tmp_path):
+        cfg = synthetic_config(tmp_path, synthetic_count=64, st_layer_count=1,
+                               max_epochs=3, seed=3, batch_size=32)
+        data = load_dataset(cfg)
+        shuffled = ImageSet(data.images, np.random.default_rng(0).permutation(data.labels))
+        truth = _run_experiment(replace(cfg, name="truth"), data, None)
+        result = _run_experiment(replace(cfg, name="shuffled"), shuffled, None)
+        ckpt = result.checkpoints[0]
+        assert ckpt.read_bytes() == truth.checkpoints[0].read_bytes()
+        final = result.run_records[0][-1]
+        model = backbone_from_state(load_checkpoint(ckpt))
+        assert evaluate(model, data.images, shuffled.labels) == (final.acc, final.nmi,
+                                                                 final.ari)
 
     def test_curve_points_equal_csv_rows(self, tmp_path):
         result = run_experiment(synthetic_config(tmp_path))
