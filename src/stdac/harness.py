@@ -88,6 +88,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.dataset not in DATASETS:
             raise ConfigurationError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
+        # the run tree is <out_dir>/<name>, one directory of its own
+        if self.name in ("", ".", "..") or "/" in self.name:
+            raise ConfigurationError(f"name must be one plain path component, got {self.name!r}")
         # the sub-configs check their own values, before any data loads
         train_settings(self, self.seed)
 
@@ -465,12 +468,14 @@ def _run_experiment(cfg: ExperimentConfig, data: ImageSet,
     (base / "curves").mkdir(parents=True, exist_ok=True)
     (base / "checkpoints").mkdir(parents=True, exist_ok=True)
     write_config(base / "config.txt", cfg)
-    # an earlier failed run's INCOMPLETE note is not this run's, nor are an
-    # earlier experiment's runs past this one's repeats
-    (base / "manifest.txt").unlink(missing_ok=True)
-    for path in [*base.glob("run*.csv"), *base.glob("checkpoints/run*.stdac")]:
-        if re.fullmatch(r"run[1-9]\d*", path.stem) and int(path.stem[3:]) > cfg.repeats:
-            path.unlink()
+    # nothing an earlier experiment wrote here stays beside this one's
+    # config, so a run that fails leaves no other experiment's results
+    runs = [path for path in [*base.glob("run*.csv"), *base.glob("checkpoints/run*.stdac")]
+            if re.fullmatch(r"run[1-9]\d*", path.stem)]
+    for path in [base / "manifest.txt", base / "summary.csv", base / "timing.txt",
+                 base / "curves" / "manifest.txt",
+                 *(base / "curves" / f"{metric}.svg" for metric in METRIC_COLUMNS), *runs]:
+        path.unlink(missing_ok=True)
 
     run_records: list[list[EpochRecord]] = []
     run_csvs: list[Path] = []

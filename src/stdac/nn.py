@@ -147,12 +147,24 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
             g2 = g.reshape(n * ho * wo, c_out)
 
             def kernel_grad():
-                # the columns are rebuilt from x rather than cached: kh*kw
-                # times the input per conv would otherwise stay alive from
-                # forward to backward (about 175 MB of a batch-128 graph),
-                # and the same copy of the same values keeps dW's bits. The
-                # GEMM sums over the rows, so it is neither split nor blocked.
-                return (im2col(0, n).T @ g2).reshape(kh, kw, c_in, c_out)
+                # built from x rather than from cached columns: kh*kw times
+                # the input per conv would otherwise stay alive from forward
+                # to backward (about 175 MB of a batch-128 graph). The GEMMs
+                # sum over the rows, so they are neither split nor blocked.
+                if c_in == 1 or n * pixels * c_in * c_out < SPLIT_MIN_WORK:
+                    # one GEMM over the whole columns: an offset's product
+                    # would be a GEMV (c_in = 1) or below OpenBLAS's
+                    # small-matrix bound, and round otherwise
+                    return (im2col(0, n).T @ g2).reshape(kh, kw, c_in, c_out)
+                # one GEMM per kernel offset (i, j) over the padded input's
+                # shifted window: the rows (i, j, :) of the whole columns'
+                # GEMM with their bits, and one window's copy at a time
+                xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+                dk = np.empty((kh, kw, c_in, c_out))
+                for i in range(kh):
+                    for j in range(kw):
+                        dk[i, j] = xp[:, i:i + ho, j:j + wo].reshape(-1, c_in).T @ g2
+                return dk
 
             def input_grad():
                 dx = np.zeros(xd.shape)

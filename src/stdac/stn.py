@@ -87,15 +87,20 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     wy1 = py - y0
     wy0 = 1.0 - wy1
 
-    # the image as (n*h*w, c) pixel rows, then the zero row
     zero_row = n * h * w
-    table = np.concatenate([x.data.reshape(zero_row, c), np.zeros((1, c), x.data.dtype)])
     first = np.arange(n)[:, None, None] * (h * w)
     rows = [np.where((yy >= 0) & (yy < h) & (xx >= 0) & (xx < w), first + yy * w + xx, zero_row)
             for yy, xx in ((y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1))]
     weights = [(wy0 * wx0)[..., None], (wy0 * wx1)[..., None],
                (wy1 * wx0)[..., None], (wy1 * wx1)[..., None]]
-    v00, v01, v10, v11 = (table[r] for r in rows)
+
+    def corners():
+        # the four corner pixels of every sample, gathered from the image as
+        # (n*h*w, c) pixel rows plus the zero row; the table dies here
+        table = np.concatenate([x.data.reshape(zero_row, c), np.zeros((1, c), x.data.dtype)])
+        return [table[r] for r in rows]
+
+    v00, v01, v10, v11 = corners()
     w00, w01, w10, w11 = weights
     y = w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11
 
@@ -110,6 +115,10 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
                               (g * wgt).ravel())
                 x.accumulate_grad(dtable[:zero_row * c].reshape(x.shape))
             if grid.requires_grad:
+                # the corners are gathered again rather than held from
+                # forward (four arrays the size of the input); a gather is
+                # exact, so dgrid keeps its bits
+                v00, v01, v10, v11 = corners()
                 dpx = (g * (wy0[..., None] * (v01 - v00)
                             + wy1[..., None] * (v11 - v10))).sum(axis=-1)
                 dpy = (g * (wx0[..., None] * (v10 - v00)

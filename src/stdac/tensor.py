@@ -69,9 +69,11 @@ def _keep_freed_memory() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # above the largest per-step array, the kernel-gradient columns of
-    # block2/conv at training batch 128: 110 MiB (forward and the input
-    # gradient build theirs in blocks of about 8 MiB)
+    # above every per-step array: conv2d builds its columns in blocks of
+    # about 8 MiB or one kernel offset at a time, so the largest are
+    # activations and gradients, such as block1/conv's output (49 MiB at
+    # training batch 128, 98 MiB at evaluation batch 256) and the gradient
+    # of fc/dense's weight (54 MiB)
     mallopt(_M_MMAP_THRESHOLD, 256 << 20)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
     mallopt(_M_ARENA_MAX, 1)
@@ -456,8 +458,17 @@ class Tensor:
                    elementwise=True)
         out = Tensor.result(y, "relu", (self,))
         if out.requires_grad:
-            # y > 0 exactly where x > 0, NaN and -0.0 included; 0 at exactly 0
-            out._backward = lambda g: self.accumulate_grad(g * (y > 0.0))
+            def bwd(g):
+                # y > 0 exactly where x > 0, NaN and -0.0 included; 0 at
+                # exactly 0. Split by images like the forward.
+                dx = np.empty_like(y)
+                rows_g, rows_dx = np.atleast_1d(g, dx)
+                split_rows(len(x), x[:1].size,
+                           lambda lo, hi: np.multiply(rows_g[lo:hi], rows_y[lo:hi] > 0.0,
+                                                      out=rows_dx[lo:hi]),
+                           elementwise=True)
+                self.accumulate_grad(dx)
+            out._backward = bwd
         return out
 
     def tanh(self) -> "Tensor":

@@ -78,6 +78,16 @@ class TestTrain:
         assert bad.partition("=")[0] in capsys.readouterr().err
         assert not (Path(cfg.out_dir) / cfg.name).exists()
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../elsewhere", "a/b"])
+    def test_a_name_that_is_not_one_directory_fails_before_writing(self, tiny_config, name,
+                                                                   capsys):
+        cfg, path = tiny_config
+        set_key(path, f"name={name}")
+        assert main(["train", "--config", str(path)]) == 2
+        assert "name must be one plain path component" in capsys.readouterr().err
+        assert not Path(cfg.out_dir).exists()
+        assert not (Path(cfg.out_dir).parent / "elsewhere").exists()
+
     @pytest.mark.parametrize("field", [f.name for f in fields(ExperimentConfig)
                                        if f.type == "float"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -99,6 +99,13 @@ class TestConfigText:
         with pytest.raises(ConfigurationError, match=r"'seed' on line 3 repeats line 1"):
             config_from_text("seed=1\nname=x\nseed=2\n")
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../elsewhere", "a/b", "/abs", "x/"])
+    def test_name_must_be_one_path_component(self, name):
+        with pytest.raises(ConfigurationError, match="one plain path component"):
+            ExperimentConfig(name=name)
+        with pytest.raises(ConfigurationError, match="one plain path component"):
+            config_from_text(f"name={name}\n")
+
 
 class TestRunCsv:
     def test_values_round_trip_exactly(self, tmp_path):
@@ -397,6 +404,18 @@ class TestRunExperiment:
         assert sorted(p.name for p in base.glob("*.csv")) == ["notes.csv", "run1.csv",
                                                               "summary.csv"]
         assert [p.name for p in (base / "checkpoints").iterdir()] == ["run1.stdac"]
+
+    def test_a_failed_rerun_leaves_no_file_of_the_earlier_run(self, tmp_path):
+        run_experiment(synthetic_config(tmp_path, max_epochs=1))
+        base = tmp_path / "tiny"
+        written = sorted(str(p.relative_to(base)) for p in base.rglob("*") if p.is_file())
+        assert "summary.csv" in written and "curves/acc.svg" in written
+        with pytest.raises(NoSelectedPairs):
+            run_experiment(synthetic_config(tmp_path, u0=2.0, l0=-1.0, rate=0.0))
+        # only the failed run's own config and INCOMPLETE note
+        assert sorted(str(p.relative_to(base)) for p in base.rglob("*")
+                      if p.is_file()) == ["config.txt", "manifest.txt"]
+        assert config_from_text((base / "config.txt").read_text()).u0 == 2.0
 
     def test_the_checkpoint_is_the_final_model_whatever_the_labels(self, tmp_path):
         cfg = synthetic_config(tmp_path, synthetic_count=64, st_layer_count=1,

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from gradcheck import gradcheck
 from stdac import nn
 from stdac.errors import ConfigurationError, ShapeError
@@ -102,6 +103,74 @@ class TestConv:
             tracemalloc.stop()
         # the output plus four blocks' columns; the halves' columns were 231 MB
         assert peak < y.data.nbytes + 4 * (8 << 20), (peak, y.data.nbytes)
+
+    def test_backward_holds_no_whole_batch_of_columns(self, rng):
+        # block2/conv at training batch 128: the kernel gradient copies one
+        # shifted window of the padded input at a time, and the input
+        # gradient builds its columns in blocks; the whole batch's columns
+        # alone would be 9x the input (110 MiB)
+        x = Tensor(rng.normal(size=(128, 14, 14, 64)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 3, 64, 128)), requires_grad=True)
+        y = nn.conv2d(x, k, Tensor(np.zeros(128), requires_grad=True))
+        g = rng.normal(size=y.shape)
+        tracemalloc.start()
+        try:
+            y._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dx, the padded input, one window and the input gradient's blocks
+        assert peak < 6 * x.data.nbytes, (peak, x.data.nbytes)
+
+
+class TestKernelGradPerOffset:
+    """conv2d's kernel gradient against the one GEMM over the whole columns
+    in `reference_ops.conv2d`, byte for byte, and which of the two it runs:
+    one GEMM per kernel offset where c_in > 1 and each offset's product has
+    `SPLIT_MIN_WORK` multiply-adds or more, else the whole columns, which
+    only that path builds in backward."""
+
+    @staticmethod
+    def kernel_grad(conv, batch, x_shape, k_shape, padding, monkeypatch):
+        """The kernel's gradient under a seeded upstream gradient, and the
+        images of each window view that backward built."""
+        rng = np.random.default_rng(batch)
+        k = Tensor(rng.normal(size=k_shape), requires_grad=True)
+        out = conv(Tensor(rng.normal(size=(batch,) + x_shape)), k,
+                   Tensor(rng.normal(size=k_shape[-1])), padding)
+        # the output's buffer becomes the upstream gradient: one array the
+        # size of block1's output at batch 512 (0.2 GB), not two
+        g = rng.standard_normal(out=out.data)
+        windows = []
+        view = np.lib.stride_tricks.sliding_window_view
+        with monkeypatch.context() as patch:
+            patch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                          lambda a, *args, **kwargs: windows.append(len(a))
+                          or view(a, *args, **kwargs))
+            out._backward(g)
+        return k.grad, windows
+
+    @pytest.mark.parametrize("batch, x_shape, k_shape, padding, per_offset", [
+        *[pytest.param(batch, (14, 14, 64), (3, 3, 64, 128), "same", batch > 2,
+                       id=f"block2-{batch}") for batch in (2, 64, 128, 129, 256)],
+        *[pytest.param(batch, (7, 7, 128), (3, 3, 128, 256), "same", batch > 2,
+                       id=f"block3-{batch}") for batch in (2, 64, 128, 129, 256)],
+        # c_in = 1: each offset's product would be a GEMV, which rounds
+        # otherwise, even where it has SPLIT_MIN_WORK multiply-adds (512)
+        *[pytest.param(batch, (28, 28, 1), (3, 3, 1, 64), "same", False,
+                       id=f"block1-{batch}") for batch in (128, 512)],
+        pytest.param(128, (14, 14, 1), (5, 5, 1, 20), "valid", False, id="st1-loc-conv1"),
+        pytest.param(128, (5, 5, 20), (5, 5, 20, 20), "valid", False, id="st1-loc-conv2"),
+    ])
+    def test_matches_whole_columns(self, batch, x_shape, k_shape, padding, per_offset,
+                                   monkeypatch):
+        got, windows = self.kernel_grad(nn.conv2d, batch, x_shape, k_shape, padding,
+                                        monkeypatch)
+        assert windows == ([] if per_offset else [batch])
+        want, _ = self.kernel_grad(ref.conv2d, batch, x_shape, k_shape, padding,
+                                   monkeypatch)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMaxPool:

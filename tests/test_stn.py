@@ -1,5 +1,7 @@
 """Spatial transformer tests: affine grids, bilinear sampling, localization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,21 @@ class TestBilinearSample:
             return (bilinear_sample(img, g) * Tensor(w)).sum()
 
         assert gradcheck(loss, (x, grid)) <= 1e-4
+
+    def test_graph_holds_no_corner_arrays(self, rng):
+        # st2's input at training batch 128: the graph keeps the output and
+        # per-sample rows and weights; the four corner arrays, each the size
+        # of the input, are gathered again in backward
+        x = Tensor(rng.normal(size=(128, 7, 7, 128)), requires_grad=True)
+        theta = identity_theta(128) + rng.uniform(-0.2, 0.2, size=(128, 2, 3))
+        grid = Tensor(affine_grid(Tensor(theta), 7, 7).data, requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = bilinear_sample(x, grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * y.data.nbytes, (held, y.data.nbytes)
 
     def test_batch_mismatch_rejected(self):
         with pytest.raises(ShapeError):
