@@ -60,8 +60,10 @@ class Backbone(Module):
     `load_state` fills next (`cli.backbone_from_state`).
     force_identity_theta=True samples every ST layer with the identity theta.
 
-    Each conv block ends in `nn.bn_relu_pool`, whose docstring says in which
-    order it pools, normalizes and rectifies, and why no feature byte moves.
+    Each conv block ends in `nn.bn_relu_pool`: one graph node for its batch
+    norm, ReLU and pool, except in eval without a graph where every gamma is
+    >= 0, where it pools before the batch norm and ReLU. Its docstring says
+    why no byte moves on either path.
     """
 
     def __init__(self, config: BackboneConfig, seed: int | None = 0):

@@ -201,20 +201,13 @@ def maxpool2d(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 max pooling; a trailing row/col that does not fill
     a window is dropped. Gradient routes to the first maximum in each window
     (row-major scan), which keeps replays deterministic under ties."""
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2d input must be NHWC, got {x.ndim} axes")
-    n, h, w, c = x.shape
-    if h < 2 or w < 2:
-        raise ShapeError(f"maxpool2d needs spatial size >= 2, got {h}x{w}")
+    n, h, w, c = _pool_shape(x)
     hc, wc = h // 2 * 2, w // 2 * 2
     xd = x.data
     y = np.empty((n, h // 2, w // 2, c))
 
     def forward(lo, hi):
-        first, second, *rest = _windows(xd[lo:hi])
-        rows = np.maximum(first, second, out=y[lo:hi])
-        for v in rest:
-            np.maximum(rows, v, out=rows)
+        _window_max(_windows(xd[lo:hi]), y[lo:hi])
 
     # a window never crosses an image, so the threads share no window
     split_rows(n, h * w * c, forward, elementwise=True)
@@ -240,6 +233,25 @@ def maxpool2d(x: Tensor) -> Tensor:
             x.accumulate_grad(dx)
         out._backward = bwd
     return out
+
+
+def _pool_shape(x: Tensor) -> tuple[int, int, int, int]:
+    """x's NHWC shape, checked for 2x2 pooling."""
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2d input must be NHWC, got {x.ndim} axes")
+    n, h, w, c = x.shape
+    if h < 2 or w < 2:
+        raise ShapeError(f"maxpool2d needs spatial size >= 2, got {h}x{w}")
+    return n, h, w, c
+
+
+def _window_max(windows: list[np.ndarray], out: np.ndarray) -> None:
+    """The max of the four window views into `out`, taken in row-major
+    order; a NaN in a window makes its max NaN."""
+    first, second, *rest = windows
+    np.maximum(first, second, out=out)
+    for v in rest:
+        np.maximum(out, v, out=out)
 
 
 def _windows(a: np.ndarray) -> list[np.ndarray]:
@@ -293,12 +305,26 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running <- BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch.
     Eval mode normalizes by the running buffers.
     """
-    if x.shape[-1] != gamma.shape[0]:
-        raise ShapeError(f"batch_norm channel axis is {x.shape[-1]}, "
+    y, mu, inv_std = _bn_forward(x.data, gamma.data, beta.data, running_mean,
+                                 running_var, train)
+    out = Tensor.result(y, "batch_norm", (x, gamma, beta))
+    if out.requires_grad:
+        out._backward = lambda g: _bn_backward(x, gamma, beta, g, mu, inv_std, train,
+                                               np.empty_like(x.data))
+    return out
+
+
+def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                running_mean: np.ndarray, running_var: np.ndarray,
+                train: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`batch_norm`'s forward on arrays: its output, a new array, and the
+    per-channel mean and 1/std that `_bn_backward` takes."""
+    if xd.shape[-1] != gamma.shape[0]:
+        raise ShapeError(f"batch_norm channel axis is {xd.shape[-1]}, "
                          f"gamma has {gamma.shape[0]}")
-    axes = tuple(range(x.ndim - 1))
-    m = x.size // x.shape[-1]
-    xd, n = x.data, x.shape[0]
+    axes = tuple(range(xd.ndim - 1))
+    m = xd.size // xd.shape[-1]
+    n = xd.shape[0]
     # each per-image pass runs in row halves on both threads; each reduction
     # over the channels stays one call on the whole buffer, as it rounds
     # otherwise
@@ -333,48 +359,57 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         if not train:
             np.subtract(xd[lo:hi], mu, out=xhat)
         xhat *= inv_std
-        yh = np.multiply(xhat, gamma.data, out=ybuf[lo:hi])
-        yh += beta.data
+        yh = np.multiply(xhat, gamma, out=ybuf[lo:hi])
+        yh += beta
 
     split_rows(n, row, scale_shift, elementwise=True)
-    out = Tensor.result(ybuf, "batch_norm", (x, gamma, beta))
-    if out.requires_grad:
-        def bwd(g):
-            # xhat again, with forward's two roundings: the graph keeps
-            # C floats of mu and inv_std, not an input-sized array
-            xhat, gxhat = np.empty_like(xd), np.empty_like(xd)
+    return ybuf, mu, inv_std
 
-            def recompute(lo, hi):
-                xh = np.subtract(xd[lo:hi], mu, out=xhat[lo:hi])
-                xh *= inv_std
-                np.multiply(g[lo:hi], xh, out=gxhat[lo:hi])
 
-            split_rows(n, row, recompute, elementwise=True)
-            # the sum of g runs on the side thread beside the sum of g * xhat
-            gsum, gx = both(lambda: g.sum(axis=axes), lambda: gxhat.sum(axis=axes))
-            if gamma.requires_grad:
-                gamma.accumulate_grad(gx)
-            if beta.requires_grad:
-                beta.accumulate_grad(gsum)
-            if x.requires_grad and train:
-                gx_m, gsum_m, scale = gx / m, gsum / m, gamma.data * inv_std
+def _bn_backward(x: Tensor, gamma: Tensor, beta: Tensor, g: np.ndarray,
+                 mu: np.ndarray, inv_std: np.ndarray, train: bool,
+                 dx: np.ndarray) -> None:
+    """`batch_norm`'s backward for the output gradient g: accumulates the
+    gradient of each of x, gamma and beta that requires one, x's built in
+    the buffer dx, which may be g itself."""
+    xd = x.data
+    axes = tuple(range(xd.ndim - 1))
+    m, n, row = xd.size // xd.shape[-1], xd.shape[0], xd[:1].size
+    # xhat again, with forward's two roundings: the graph keeps C floats of
+    # mu and inv_std, not an input-sized array. One buffer takes xhat * g
+    # and later xhat * (gx/m), so backward holds one array the size of x
+    # beside g and dx.
+    buf = np.empty_like(xd)
 
-                def tail(lo, hi):
-                    # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std), in the
-                    # buffers of gxhat and then xhat
-                    gxh = np.multiply(xhat[lo:hi], gx_m, out=gxhat[lo:hi])
-                    dx = np.subtract(g[lo:hi], gsum_m, out=xhat[lo:hi])
-                    dx -= gxh
-                    dx *= scale
+    def xhat_times(v, lo, hi):
+        xh = np.subtract(xd[lo:hi], mu, out=buf[lo:hi])
+        xh *= inv_std
+        xh *= v
+        return xh
 
-                split_rows(n, row, tail, elementwise=True)
-                x.accumulate_grad(xhat)
-            elif x.requires_grad:
-                dx = g * gamma.data
-                dx *= inv_std
-                x.accumulate_grad(dx)
-        out._backward = bwd
-    return out
+    split_rows(n, row, lambda lo, hi: xhat_times(g[lo:hi], lo, hi), elementwise=True)
+    # the sum of g runs on the side thread beside the sum of g * xhat
+    gsum, gx = both(lambda: g.sum(axis=axes), lambda: buf.sum(axis=axes))
+    if gamma.requires_grad:
+        gamma.accumulate_grad(gx)
+    if beta.requires_grad:
+        beta.accumulate_grad(gsum)
+    if x.requires_grad and train:
+        gx_m, gsum_m, scale = gx / m, gsum / m, gamma.data * inv_std
+
+        def tail(lo, hi):
+            # ((g - gsum/m) - xhat*(gx/m)) * (gamma*inv_std)
+            gxh = xhat_times(gx_m, lo, hi)
+            d = np.subtract(g[lo:hi], gsum_m, out=dx[lo:hi])
+            d -= gxh
+            d *= scale
+
+        split_rows(n, row, tail, elementwise=True)
+        x.accumulate_grad(dx)
+    elif x.requires_grad:
+        np.multiply(g, gamma.data, out=dx)
+        dx *= inv_std
+        x.accumulate_grad(dx)
 
 
 # ---------------------------------------------------------------------------
@@ -478,25 +513,79 @@ class BatchNorm(Module):
 
 
 def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
-    """`maxpool2d(bn(x, train).relu())`, the tail of a conv block, computed
-    with the ReLU after the pool.
+    """`maxpool2d(bn(x, train).relu())`, the tail of a conv block, on one of
+    two paths.
 
-    With a graph recorded, in either mode, it runs
-    `maxpool2d(bn(x, train)).relu()`: max commutes with ReLU, so the values
-    are the same, and so are the gradients. Where a window's maximum is > 0
-    the gradient goes to the first maximum of the BN output in both orders;
-    where it is <= 0 it is +0.0 everywhere, since `accumulate_grad` adds a
-    -0.0 as +0.0. The graph then holds no full-size ReLU output.
     Eval mode with no graph recorded pools x first where every gamma is
     >= 0, then normalizes and rectifies the pooled map: eval BN then ReLU is
     a chain of correctly rounded steps, each non-decreasing per channel
-    (constant where gamma == 0), so the window max commutes with it. Any
-    gamma < 0 keeps the graph order. The features keep every byte of the
-    BN -> ReLU -> pool order but the sign of a zero, which can differ only
-    where a BN beta is exactly -0.0; Adam never makes one from the +0.0 init.
+    (constant where gamma == 0), so the window max commutes with it. The
+    features keep every byte of the BN -> ReLU -> pool order but the sign of
+    a zero, which can differ only where a BN beta is exactly -0.0; Adam
+    never makes one from the +0.0 init.
+
+    Any other call (train mode, a recorded graph, or a gamma < 0) is one
+    graph node with parents (x, gamma, beta) and the bytes of
+    `maxpool2d(bn(x, train)).relu()`, its output, the running buffers and
+    every gradient: max commutes with ReLU, so the values are those of the
+    BN -> ReLU -> pool order, and the gradient goes to the first maximum of
+    the BN output, +0.0 where the window's maximum is <= 0 or NaN. The BN
+    output and the pooled map before the ReLU die in forward; the node keeps
+    x, BN's per-channel mean and 1/std, the window offset of each first
+    maximum as a uint8, and its output.
     """
-    if train or grad_enabled() or (bn.gamma.data < 0).any():
-        return maxpool2d(bn(x, train)).relu()
-    # `pooled` outlives the ReLU: freeing it first raised cluster_eval's peak RSS 14 MB
-    pooled = maxpool2d(x)
-    return bn(pooled, False).relu()
+    gamma, beta = bn.gamma, bn.beta
+    if not (train or grad_enabled() or (gamma.data < 0).any()):
+        # `pooled` outlives the ReLU: freeing it first raised cluster_eval's peak RSS 14 MB
+        pooled = maxpool2d(x)
+        return bn(pooled, False).relu()
+    n, h, w, c = _pool_shape(x)
+    hc, wc = h // 2 * 2, w // 2 * 2
+    xd = x.data
+    y, mu, inv_std = _bn_forward(xd, gamma.data, beta.data, bn.running_mean,
+                                 bn.running_var, train)
+    # the output is filled below, once it is known whether backward can run
+    out = Tensor.result(np.empty((n, h // 2, w // 2, c)), "bn_relu_pool", (x, gamma, beta))
+    pooled = out.data
+    # for backward, per pooled element, the offset of the first window view
+    # equal to it, or 4 where none is (a NaN window)
+    first = np.empty(pooled.shape, np.uint8) if out.requires_grad else None
+
+    def forward(lo, hi):
+        views, p = _windows(y[lo:hi]), pooled[lo:hi]
+        _window_max(views, p)
+        if first is not None:
+            f, hit, step = first[lo:hi], np.empty(p.shape, bool), np.empty(p.shape, np.uint8)
+            f[...] = 4
+            for k in (3, 2, 1, 0):
+                # f = k where view k equals the max: f -= hit * (f - k), as
+                # f > k here; a masked copy took 5x as long
+                np.equal(views[k], p, out=hit)
+                np.multiply(np.subtract(f, k, out=step), hit, out=step)
+                f -= step
+        np.maximum(p, 0.0, out=p)
+
+    # a window never crosses an image, so the threads share no window
+    split_rows(n, h * w * c, forward, elementwise=True)
+    if out.requires_grad:
+        def bwd(g):
+            gy = np.empty_like(xd)
+
+            def route(lo, hi):
+                # the ReLU mask, then the route to each first maximum; each
+                # is followed by the + 0.0 that accumulate_grad adds when it
+                # adopts a gradient at the three-node graph's boundaries
+                # (a -0.0 becomes +0.0)
+                d = np.multiply(g[lo:hi], pooled[lo:hi] > 0.0)
+                d += 0.0
+                gy[lo:hi, hc:] = 0.0
+                gy[lo:hi, :, wc:] = 0.0
+                for k, v in enumerate(_windows(gy[lo:hi])):
+                    np.multiply(d, first[lo:hi] == k, out=v)
+                gy[lo:hi] += 0.0
+
+            split_rows(n, h * w * c, route, elementwise=True)
+            # x's gradient is built in gy, which nothing else holds
+            _bn_backward(x, gamma, beta, gy, mu, inv_std, train, gy)
+        out._backward = bwd
+    return out

@@ -114,15 +114,29 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
                     np.add.at(dtable, (r[..., None] * c + np.arange(c)).ravel(),
                               (g * wgt).ravel())
                 x.accumulate_grad(dtable[:zero_row * c].reshape(x.shape))
+                # accumulate_grad copied the view, so the table can go
+                del dtable
             if grid.requires_grad:
                 # the corners are gathered again rather than held from
                 # forward (four arrays the size of the input); a gather is
                 # exact, so dgrid keeps its bits
                 v00, v01, v10, v11 = corners()
-                dpx = (g * (wy0[..., None] * (v01 - v00)
-                            + wy1[..., None] * (v11 - v10))).sum(axis=-1)
-                dpy = (g * (wx0[..., None] * (v10 - v00)
-                            + wx1[..., None] * (v11 - v01))).sum(axis=-1)
+                # dpx = (g * (wy0 * (v01 - v00) + wy1 * (v11 - v10))).sum(-1)
+                # and dpy = (g * (wx0 * (v10 - v00) + wx1 * (v11 - v01))).sum(-1),
+                # each step in place, in the corners' buffers and one more
+                dy0 = np.subtract(v10, v00)
+                dx0 = np.subtract(v01, v00, out=v00)
+                dy1 = np.subtract(v11, v01, out=v01)
+                dx1 = np.subtract(v11, v10, out=v10)
+
+                def partial(d0, w0, d1, w1):
+                    d0 *= w0[..., None]
+                    d1 *= w1[..., None]
+                    d0 += d1
+                    d0 *= g
+                    return d0.sum(axis=-1)
+
+                dpx, dpy = partial(dx0, wy0, dx1, wy1), partial(dy0, wx0, dy1, wx1)
                 dgrid = np.stack([dpx * sx, dpy * sy], axis=-1)
                 grid.accumulate_grad(dgrid)
         out._backward = bwd

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from stdac import nn, stn
+from stdac import dac, nn, stn
 from stdac.errors import ConfigurationError, ShapeError
 from stdac.optim import Adam
 from stdac.tensor import Tensor
@@ -130,6 +130,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     return out
 
 
+def bn_relu_pool(x: Tensor, bn: nn.BatchNorm, train: bool) -> Tensor:
+    """A conv block's tail as three nodes in graph order, on every call."""
+    return maxpool2d(batch_norm(x, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                                train)).relu()
+
+
 def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     """Out-of-image corners read a clipped neighbour times a float mask."""
     n, h, w, c = x.shape
@@ -213,6 +219,8 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(nn, "conv2d", conv2d)
     monkeypatch.setattr(nn, "maxpool2d", maxpool2d)
     monkeypatch.setattr(nn, "batch_norm", batch_norm)
+    # dac imports the conv-block tail by name
+    monkeypatch.setattr(dac, "bn_relu_pool", bn_relu_pool)
     monkeypatch.setattr(stn, "bilinear_sample", bilinear_sample)
     monkeypatch.setattr(Adam, "step", adam_step)
     monkeypatch.setattr(Tensor, "accumulate_grad", accumulate_grad)

@@ -392,11 +392,11 @@ class TestForwardSplit:
             monkeypatch, side_calls, lambda: predict_features(model, images))
         # per batch, the GEMMs: three trunk convs and fc, plus st2's
         # loc/dense1. The per-image passes: in each conv block (a gamma < 0
-        # keeps the graph order) its BN, pool, ReLU and pool BN, then fc's
-        # BN and ReLU, 14 in all; and st1's second localization pool
-        # (10x10x20) in the batch of 256 only, since a half of 64 images holds
-        # 128000 floats, below SPLIT_MIN_FLOATS
-        assert n_split == 2 * (4 + (count >= 2)) + 2 * 14 + 1 and n_whole == 0
+        # makes it one `bn_relu_pool` node) its BN, its pool and ReLU, and
+        # its pool BN, then fc's BN and ReLU, 11 in all; and st1's second
+        # localization pool (10x10x20) in the batch of 256 only, since a half
+        # of 64 images holds 128000 floats, below SPLIT_MIN_FLOATS
+        assert n_split == 2 * (4 + (count >= 2)) + 2 * 11 + 1 and n_whole == 0
         assert_same_bits(got, want)
 
 

@@ -129,17 +129,21 @@ class TestEvalPoolsFirst:
         model = Backbone(BackboneConfig(st_layer_count=1, cluster_count=4), seed=4)
         model.bn2.gamma.data[7] = -0.5
         seen = []
-        batch_norm = nn.batch_norm
-
-        def recording(x, *args):
-            seen.append(x.shape)
-            return batch_norm(x, *args)
-
-        monkeypatch.setattr(nn, "batch_norm", recording)
+        for name in ("batch_norm", "maxpool2d"):
+            def recording(x, *args, op=getattr(nn, name), name=name):
+                seen.append((name, x.shape))
+                return op(x, *args)
+            monkeypatch.setattr(nn, name, recording)
         predict_features(model, make_synthetic_glyphs(3, seed=1, classes=4).images)
-        # bn1, bnp1, bn2, bnp2, bn3, bnp3, fc_bn, head_bn
-        assert seen[:6] == [(3, 14, 14, 64), (3, 14, 14, 64), (3, 14, 14, 128),
-                            (3, 7, 7, 128), (3, 3, 3, 256), (3, 3, 3, 256)]
+        # st1's two pools; block1 pools its conv output first, then bn1 and
+        # bnp1; block2 is one node that calls neither, so its conv output is
+        # never pooled first, and bnp2 reads the node's output; block3 as
+        # block1; then fc_bn and head_bn
+        assert seen[:9] == [("maxpool2d", (3, 28, 28, 1)), ("maxpool2d", (3, 10, 10, 20)),
+                            ("maxpool2d", (3, 28, 28, 64)), ("batch_norm", (3, 14, 14, 64)),
+                            ("batch_norm", (3, 14, 14, 64)), ("batch_norm", (3, 7, 7, 128)),
+                            ("maxpool2d", (3, 7, 7, 256)), ("batch_norm", (3, 3, 3, 256)),
+                            ("batch_norm", (3, 3, 3, 256))]
 
 
 class TestPairwiseSimilarity:

@@ -358,9 +358,9 @@ def mixed_bn(rng, c):
 
 
 class TestBnReluPool:
-    """Eval without a graph pools first; every other mode keeps
-    BN -> ReLU -> pool, whose gradients route to the first maximum after the
-    ReLU."""
+    """Eval without a graph pools first; every other call is one node with
+    the bytes of BN -> ReLU -> pool, whose gradients route to the first
+    maximum after the ReLU, and of the three nodes BN -> pool -> ReLU."""
 
     @staticmethod
     def graph_order(x, bn, train):
@@ -418,6 +418,102 @@ class TestBnReluPool:
         assert not np.signbit(results[0][0]).any()
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def node(x, bn, train, g):
+        y = nn.bn_relu_pool(x, bn, train)
+        assert y.op == "bn_relu_pool"
+        y._backward(g)
+        return y
+
+    @staticmethod
+    def three_nodes(x, bn, train, g):
+        # each closure by hand in the sweep's order: the sweep itself stops
+        # at a NaN gradient
+        bn_out = bn(x, train)
+        pooled = nn.maxpool2d(bn_out)
+        y = pooled.relu()
+        y._backward(g)
+        pooled._backward(pooled.grad)
+        bn_out._backward(bn_out.grad)
+        return y
+
+    def assert_node_matches_three_nodes(self, x, make_bn, train):
+        """The output, the running buffers and the gradients of x, gamma and
+        beta, each run on its own leaf and BatchNorm."""
+        n, h, w, c = x.shape
+        g = np.random.default_rng(2).normal(size=(n, h // 2, w // 2, c))
+        results = []
+        for op in (self.node, self.three_nodes):
+            bn, xt = make_bn(), Tensor(x, requires_grad=True)
+            y = op(xt, bn, train, g)
+            results.append([y.data, bn.running_mean, bn.running_var, xt.grad,
+                            bn.gamma.grad, bn.beta.grad])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return results[0][0]
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", [(128, 28, 28, 64), (128, 14, 14, 128),
+                                       (128, 7, 7, 256)], ids=["block1", "block2", "block3"])
+    def test_block_shapes_at_batch_128(self, shape, train, rng):
+        x = rng.normal(size=shape)
+        self.assert_node_matches_three_nodes(
+            x, lambda: mixed_bn(np.random.default_rng(1), shape[-1]), train)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", [(4, 6, 6, 6), (3, 7, 7, 6)], ids=["even", "crop"])
+    def test_ties_zero_gammas_and_the_crop(self, shape, train, rng):
+        def make_bn():
+            bn = mixed_bn(np.random.default_rng(3), shape[-1])
+            bn.beta.data[0] = -abs(bn.beta.data[0])     # gamma 0: every window < 0
+            bn.beta.data[3] = 0.0                        # gamma 0: every window ties at 0
+            return bn
+        y = self.assert_node_matches_three_nodes(
+            rng.integers(-1, 2, size=shape) * 1.0, make_bn, train)
+        assert not np.signbit(y).any()
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_a_nan_window(self, train, rng):
+        x = rng.normal(size=(3, 7, 7, 5))
+        x[1, 2, 5, 4] = np.nan
+        y = self.assert_node_matches_three_nodes(
+            x, lambda: mixed_bn(np.random.default_rng(2), 5), train)
+        assert np.isnan(y[1, 1, 2, 4])
+
+    def test_batch_of_one_rejected_in_train(self):
+        bn = nn.BatchNorm(3, "bn")
+        with pytest.raises(ShapeError, match="batch"):
+            nn.bn_relu_pool(Tensor(np.ones((1, 4, 4, 3)), requires_grad=True), bn, True)
+        assert not bn.running_mean.any() and (bn.running_var == 1.0).all()
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_grads(self, train, rng):
+        bn = mixed_bn(rng, 3)
+        bn.gamma.data[0] = 0.7
+        x = Tensor(rng.normal(size=(3, 4, 5, 3)), requires_grad=True)
+        w = rng.random((3, 2, 2, 3))
+
+        # gradcheck perturbs gamma and beta in place, where bn reads them
+        gradcheck(lambda xt, *_: (nn.bn_relu_pool(xt, bn, train) * w).sum(),
+                  (x, bn.gamma, bn.beta))
+
+    def test_graph_holds_no_full_resolution_map(self, rng):
+        # block1 at training batch 128: the node keeps its output (12.25
+        # MiB), a byte per pooled element and C-float vectors; the three
+        # nodes it replaces kept the BN output (49 MiB) and the pooled map
+        # before the ReLU as well, 73.5 MiB with the output
+        x = Tensor(rng.normal(size=(128, 28, 28, 64)), requires_grad=True)
+        bn = nn.BatchNorm(64, "bn")
+        tracemalloc.start()
+        try:
+            y = nn.bn_relu_pool(x, bn, True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.op == "bn_relu_pool"
+        assert held < 20 << 20, held / 2**20
 
 
 class TestInit:

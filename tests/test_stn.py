@@ -152,6 +152,23 @@ class TestBilinearSample:
             tracemalloc.stop()
         assert held < 2 * y.data.nbytes, (held, y.data.nbytes)
 
+    def test_backward_peak(self, rng):
+        # st2's shape at training batch 128: the pixel-gradient table dies
+        # once x's gradient holds a copy, and the grid gradient works in the
+        # four corners' buffers plus one; 9x the output before both
+        x = Tensor(rng.normal(size=(128, 7, 7, 128)), requires_grad=True)
+        theta = identity_theta(128) + rng.uniform(-0.2, 0.2, size=(128, 2, 3))
+        grid = Tensor(affine_grid(Tensor(theta), 7, 7).data, requires_grad=True)
+        y = bilinear_sample(x, grid)
+        g = rng.normal(size=y.shape)
+        tracemalloc.start()
+        try:
+            y._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * y.data.nbytes, (peak / y.data.nbytes)
+
     def test_batch_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             bilinear_sample(Tensor(np.zeros((2, 3, 3, 1))),
