@@ -115,15 +115,20 @@ def load_idx(images_path, labels_path=None) -> ImageSet:
 
 
 def save_idx(data: ImageSet, images_path, labels_path=None) -> None:
-    """Write an ImageSet back to IDX; pixels are requantized to bytes."""
+    """Write an ImageSet back to IDX; pixels are requantized to bytes. Every
+    check runs before either file is written."""
     if data.images.shape[-1] != 1:
         raise ShapeError("IDX images are single-channel")
-    pixels = np.rint(data.images[..., 0] * 255.0).astype(np.uint8)
-    write_idx(images_path, pixels)
+    labels = data.labels
     if labels_path is not None:
-        if data.labels is None:
+        if labels is None:
             raise ConfigurationError("no labels to save")
-        write_idx(labels_path, data.labels.astype(np.uint8))
+        if labels.size and not (labels.min() >= 0 and labels.max() <= 255):
+            raise ConfigurationError(f"IDX labels are bytes: labels must lie in 0..255, "
+                                     f"got {labels.min()}..{labels.max()}")
+    write_idx(images_path, np.rint(data.images[..., 0] * 255.0).astype(np.uint8))
+    if labels_path is not None:
+        write_idx(labels_path, labels.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

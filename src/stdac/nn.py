@@ -200,36 +200,25 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
 def maxpool2d(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 max pooling; a trailing row/col that does not fill
     a window is dropped. Gradient routes to the first maximum in each window
-    (row-major scan), which keeps replays deterministic under ties."""
+    (row-major scan), which keeps replays deterministic under ties; a NaN
+    window's max is NaN and gets no gradient."""
     n, h, w, c = _pool_shape(x)
-    hc, wc = h // 2 * 2, w // 2 * 2
     xd = x.data
-    y = np.empty((n, h // 2, w // 2, c))
+    # the output is filled below, once it is known whether backward can run
+    out = Tensor.result(np.empty((n, h // 2, w // 2, c)), "maxpool2d", (x,))
+    y = out.data
+    first = np.empty(y.shape, np.uint8) if out.requires_grad else None
 
     def forward(lo, hi):
-        _window_max(_windows(xd[lo:hi]), y[lo:hi])
+        _pool(xd[lo:hi], y[lo:hi], None if first is None else first[lo:hi])
 
     # a window never crosses an image, so the threads share no window
     split_rows(n, h * w * c, forward, elementwise=True)
-    out = Tensor.result(y, "maxpool2d", (x,))
     if out.requires_grad:
         def bwd(g):
             dx = np.empty_like(xd)
-
-            def route(lo, hi):
-                # the window offsets cover dx but for the cropped rows and columns
-                dx[lo:hi, hc:] = 0.0
-                dx[lo:hi, :, wc:] = 0.0
-                yh, gh = y[lo:hi], g[lo:hi]
-                taken = np.zeros(yh.shape, dtype=bool)
-                for xv, dxv in zip(_windows(xd[lo:hi]), _windows(dx[lo:hi])):
-                    hit = xv == yh
-                    np.greater(hit, taken, out=hit)     # hit and not taken yet
-                    taken |= hit
-                    # g * False is -0.0 where g < 0; accumulate_grad adds it as +0.0
-                    np.multiply(gh, hit, out=dxv)
-
-            split_rows(n, h * w * c, route, elementwise=True)
+            split_rows(n, h * w * c, lambda lo, hi: _route(g[lo:hi], first[lo:hi], dx[lo:hi]),
+                       elementwise=True)
             x.accumulate_grad(dx)
         out._backward = bwd
     return out
@@ -245,13 +234,36 @@ def _pool_shape(x: Tensor) -> tuple[int, int, int, int]:
     return n, h, w, c
 
 
-def _window_max(windows: list[np.ndarray], out: np.ndarray) -> None:
-    """The max of the four window views into `out`, taken in row-major
-    order; a NaN in a window makes its max NaN."""
-    first, second, *rest = windows
-    np.maximum(first, second, out=out)
-    for v in rest:
+def _pool(a: np.ndarray, out: np.ndarray, first: np.ndarray | None) -> None:
+    """The max of each 2x2 window of the NHWC array `a` into `out`, taken in
+    row-major order; a NaN in a window makes its max NaN. Unless `first` is
+    None, also the uint8 offset of the first window view equal to that max
+    into `first`, or 4 where none is (a NaN window)."""
+    views = _windows(a)
+    np.maximum(views[0], views[1], out=out)
+    for v in views[2:]:
         np.maximum(out, v, out=out)
+    if first is None:
+        return
+    hit, step = np.empty(out.shape, bool), np.empty(out.shape, np.uint8)
+    first[...] = 4
+    for k in (3, 2, 1, 0):
+        # first = k where view k equals the max: first -= hit * (first - k),
+        # as first > k here; a masked copy took 5x as long
+        np.equal(views[k], out, out=hit)
+        np.multiply(np.subtract(first, k, out=step), hit, out=step)
+        first -= step
+
+
+def _route(d: np.ndarray, first: np.ndarray, dx: np.ndarray) -> None:
+    """The pooled gradient `d` into the NHWC array `dx` at each window's
+    offset `first` (from `_pool`); zeros at the other offsets and in the
+    cropped rows and columns. d * False is -0.0 where d < 0."""
+    hc, wc = dx.shape[1] // 2 * 2, dx.shape[2] // 2 * 2
+    dx[:, hc:] = 0.0
+    dx[:, :, wc:] = 0.0
+    for k, v in enumerate(_windows(dx)):
+        np.multiply(d, first == k, out=v)
 
 
 def _windows(a: np.ndarray) -> list[np.ndarray]:
@@ -528,11 +540,12 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
     graph node with parents (x, gamma, beta) and the bytes of
     `maxpool2d(bn(x, train)).relu()`, its output, the running buffers and
     every gradient: max commutes with ReLU, so the values are those of the
-    BN -> ReLU -> pool order, and the gradient goes to the first maximum of
-    the BN output, +0.0 where the window's maximum is <= 0 or NaN. The BN
-    output and the pooled map before the ReLU die in forward; the node keeps
-    x, BN's per-channel mean and 1/std, the window offset of each first
-    maximum as a uint8, and its output.
+    BN -> ReLU -> pool order. The gradient, masked by the ReLU, takes
+    `maxpool2d`'s route to the first maximum of the BN output; a zero's sign
+    there can reach only zeros of the gradients, which `accumulate_grad`
+    makes +0.0. The BN output and the pooled map before the ReLU die in
+    forward; the node keeps x, BN's per-channel mean and 1/std, the window
+    offset of each first maximum as a uint8, and its output.
     """
     gamma, beta = bn.gamma, bn.beta
     if not (train or grad_enabled() or (gamma.data < 0).any()):
@@ -540,29 +553,17 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
         pooled = maxpool2d(x)
         return bn(pooled, False).relu()
     n, h, w, c = _pool_shape(x)
-    hc, wc = h // 2 * 2, w // 2 * 2
     xd = x.data
     y, mu, inv_std = _bn_forward(xd, gamma.data, beta.data, bn.running_mean,
                                  bn.running_var, train)
     # the output is filled below, once it is known whether backward can run
     out = Tensor.result(np.empty((n, h // 2, w // 2, c)), "bn_relu_pool", (x, gamma, beta))
     pooled = out.data
-    # for backward, per pooled element, the offset of the first window view
-    # equal to it, or 4 where none is (a NaN window)
     first = np.empty(pooled.shape, np.uint8) if out.requires_grad else None
 
     def forward(lo, hi):
-        views, p = _windows(y[lo:hi]), pooled[lo:hi]
-        _window_max(views, p)
-        if first is not None:
-            f, hit, step = first[lo:hi], np.empty(p.shape, bool), np.empty(p.shape, np.uint8)
-            f[...] = 4
-            for k in (3, 2, 1, 0):
-                # f = k where view k equals the max: f -= hit * (f - k), as
-                # f > k here; a masked copy took 5x as long
-                np.equal(views[k], p, out=hit)
-                np.multiply(np.subtract(f, k, out=step), hit, out=step)
-                f -= step
+        p = pooled[lo:hi]
+        _pool(y[lo:hi], p, None if first is None else first[lo:hi])
         np.maximum(p, 0.0, out=p)
 
     # a window never crosses an image, so the threads share no window
@@ -572,17 +573,8 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
             gy = np.empty_like(xd)
 
             def route(lo, hi):
-                # the ReLU mask, then the route to each first maximum; each
-                # is followed by the + 0.0 that accumulate_grad adds when it
-                # adopts a gradient at the three-node graph's boundaries
-                # (a -0.0 becomes +0.0)
-                d = np.multiply(g[lo:hi], pooled[lo:hi] > 0.0)
-                d += 0.0
-                gy[lo:hi, hc:] = 0.0
-                gy[lo:hi, :, wc:] = 0.0
-                for k, v in enumerate(_windows(gy[lo:hi])):
-                    np.multiply(d, first[lo:hi] == k, out=v)
-                gy[lo:hi] += 0.0
+                # the ReLU mask, then the route to each first maximum
+                _route(np.multiply(g[lo:hi], pooled[lo:hi] > 0.0), first[lo:hi], gy[lo:hi])
 
             split_rows(n, h * w * c, route, elementwise=True)
             # x's gradient is built in gy, which nothing else holds

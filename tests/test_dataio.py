@@ -65,6 +65,16 @@ class TestIdxFormat:
         np.testing.assert_array_equal(back.images, data.images)
         np.testing.assert_array_equal(back.labels, labels)
 
+    @pytest.mark.parametrize("labels, match", [(None, "no labels"), ([0, 300], "0..255"),
+                                               ([-1, 3], "0..255")],
+                             ids=["missing", "300", "minus-one"])
+    def test_save_rejects_unwritable_labels_before_writing(self, labels, match, tmp_path):
+        # a byte would hold 300 as 44 and -1 as 255; neither file is written
+        data = ImageSet(np.zeros((2, 4, 4, 1)), labels)
+        with pytest.raises(ConfigurationError, match=match):
+            save_idx(data, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert list(tmp_path.iterdir()) == []
+
     def test_pixel_scaling(self, tmp_path):
         arr = np.array([[[0, 51, 255]]], dtype=np.uint8)
         write_idx(tmp_path / "t.idx", arr)

@@ -192,6 +192,28 @@ class TestMaxPool:
         nn.maxpool2d(xt).sum().backward()
         np.testing.assert_array_equal(xt.grad.reshape(2, 2), [[1, 0], [0, 0]])
 
+    def test_a_nan_window_and_the_crop(self, rng):
+        # ties, a NaN window, and a cropped last row and column; a window
+        # loop is the oracle, since the reference's argmax picks the NaN
+        x = rng.integers(-1, 2, size=(2, 5, 7, 3)) * 1.0
+        x[1, 2, 5, 2] = np.nan
+        g = rng.normal(size=(2, 2, 3, 3))
+        xt = Tensor(x, requires_grad=True)
+        y = nn.maxpool2d(xt)
+        y._backward(g)
+        want_y, want_dx = np.empty(g.shape), np.zeros(x.shape)
+        for b, i, j, c in np.ndindex(*g.shape):
+            window = x[b, 2 * i:2 * i + 2, 2 * j:2 * j + 2, c]
+            want_y[b, i, j, c] = window.max()
+            if not np.isnan(window).any():
+                k = np.argmax(window.reshape(-1))
+                want_dx[b, 2 * i + k // 2, 2 * j + k % 2, c] = g[b, i, j, c]
+        assert np.isnan(y.data[1, 1, 2, 2]) and np.isnan(want_y).sum() == 1
+        assert y.data.tobytes() == want_y.tobytes()
+        assert xt.grad.tobytes() == want_dx.tobytes()
+        assert not xt.grad[1, 2:4, 4:6, 2].any()
+        assert not xt.grad[:, 4].any() and not xt.grad[:, :, 6].any()
+
     def test_too_small(self):
         with pytest.raises(ShapeError):
             nn.maxpool2d(Tensor(np.zeros((1, 1, 4, 1))))
@@ -360,11 +382,13 @@ def mixed_bn(rng, c):
 class TestBnReluPool:
     """Eval without a graph pools first; every other call is one node with
     the bytes of BN -> ReLU -> pool, whose gradients route to the first
-    maximum after the ReLU, and of the three nodes BN -> pool -> ReLU."""
+    maximum after the ReLU, and of the three nodes BN -> pool -> ReLU. The
+    oracles pool with `reference_ops.maxpool2d`, as `nn.maxpool2d` shares its
+    pooling kernel and its route with the node."""
 
     @staticmethod
     def graph_order(x, bn, train):
-        return nn.maxpool2d(bn(x, train).relu())
+        return ref.maxpool2d(bn(x, train).relu())
 
     @pytest.mark.parametrize("shape", [(3, 6, 6, 7), (2, 7, 5, 7)])
     def test_eval_without_graph_same_bytes(self, shape, rng):
@@ -413,7 +437,7 @@ class TestBnReluPool:
             y = op(xt, bn, train)
             (y * g).sum().backward()
             results.append([y.data, xt.grad, bn.gamma.grad, bn.beta.grad])
-        pooled = nn.maxpool2d(bn(Tensor(x), train)).data
+        pooled = ref.maxpool2d(bn(Tensor(x), train)).data
         assert ((pooled <= 0) & (g < 0)).any() and (pooled > 0).any()
         assert not np.signbit(results[0][0]).any()
         for got, want in zip(*results):
@@ -431,7 +455,7 @@ class TestBnReluPool:
         # each closure by hand in the sweep's order: the sweep itself stops
         # at a NaN gradient
         bn_out = bn(x, train)
-        pooled = nn.maxpool2d(bn_out)
+        pooled = ref.maxpool2d(bn_out)
         y = pooled.relu()
         y._backward(g)
         pooled._backward(pooled.grad)
