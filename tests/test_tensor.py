@@ -1,11 +1,14 @@
 """Autodiff core: graph mechanics, broadcasting, diagnostics."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from gradcheck import gradcheck
 from stdac.errors import GradientNaN, GraphReleased, ShapeError
-from stdac.tensor import Tensor, no_grad
+from stdac.tensor import Tensor, both, no_grad
 
 
 class TestBackward:
@@ -156,3 +159,13 @@ class TestNoGrad:
             pass
         y = x * 2.0
         assert y.requires_grad
+
+
+class TestSideThreadExit:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+    def test_the_os_thread_is_gone_when_both_returns(self):
+        # glibc hands the side heap to the next side thread only after this
+        # exit; a later thread would otherwise allocate in the caller's heap
+        for _ in range(20):
+            tid, _ = both(threading.get_native_id, int)
+            assert not os.path.exists(f"/proc/self/task/{tid}")
