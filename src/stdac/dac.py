@@ -20,11 +20,11 @@ import numpy as np
 from .dataio import AugmentConfig, augment_batch, batch_iterator
 from .errors import ConfigurationError, NoSelectedPairs
 from .metrics import ari, clustering_accuracy, nmi
-from .nn import (BatchNorm, Conv2d, Dense, Module, bn_relu_pool, l2_normalize_rows,
-                 softmax_rows)
+from .nn import (BatchNorm, Conv2d, Dense, Module, bn_relu_pool, eval_conv_block,
+                 l2_normalize_rows, softmax_rows)
 from .optim import Adam
 from .stn import SpatialTransformer
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, grad_enabled, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +60,10 @@ class Backbone(Module):
     `load_state` fills next (`cli.backbone_from_state`).
     force_identity_theta=True samples every ST layer with the identity theta.
 
-    Each conv block ends in `nn.bn_relu_pool`: one graph node for its batch
-    norm, ReLU and pool, except in eval without a graph where every gamma is
-    >= 0, where it pools before the batch norm and ReLU. Its docstring says
-    why no byte moves on either path.
+    A conv block is `nn.conv2d` then `nn.bn_relu_pool`, one graph node for
+    its batch norm, ReLU and pool, except in eval without a graph, where
+    `nn.eval_conv_block` runs it one block of images at a time and never
+    builds the full-size conv output. Their docstrings say why no byte moves.
     """
 
     def __init__(self, config: BackboneConfig, seed: int | None = 0):
@@ -91,14 +91,19 @@ class Backbone(Module):
         self.head_bn = BatchNorm(config.cluster_count, "head/bn")
 
     def __call__(self, x, train: bool = True, force_identity_theta: bool = False) -> Tensor:
+        def block(h, conv, bn):
+            if train or grad_enabled():
+                return bn_relu_pool(conv(h), bn, train)
+            return eval_conv_block(h, conv, bn)
+
         h = x if isinstance(x, Tensor) else Tensor(x)
         if self.st1 is not None:
             h = self.st1(h, identity=force_identity_theta)
-        h = self.bnp1(bn_relu_pool(self.conv1(h), self.bn1, train), train)
-        h = self.bnp2(bn_relu_pool(self.conv2(h), self.bn2, train), train)
+        h = self.bnp1(block(h, self.conv1, self.bn1), train)
+        h = self.bnp2(block(h, self.conv2, self.bn2), train)
         if self.st2 is not None:
             h = self.st2(h, identity=force_identity_theta)
-        h = self.bnp3(bn_relu_pool(self.conv3(h), self.bn3, train), train)
+        h = self.bnp3(block(h, self.conv3, self.bn3), train)
         if self.st3 is not None:
             h = self.st3(h, identity=force_identity_theta)
         h = h.reshape((h.shape[0], -1))
@@ -109,6 +114,8 @@ class Backbone(Module):
 
 def predict_features(model: Backbone, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Label features for a full image array, eval mode, no graph."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     features = np.empty((len(images), model.config.cluster_count))
     with no_grad():
         for start in range(0, len(images), batch_size):

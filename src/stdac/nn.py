@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, ShapeError
-from .tensor import SPLIT_MIN_WORK, Tensor, both, grad_enabled, split_rows
+from .tensor import SPLIT_MIN_WORK, Tensor, both, row_halves, split_rows
 
 # ---------------------------------------------------------------------------
 # parameters and initialization
@@ -79,66 +79,103 @@ def _pad_amounts(k: int) -> tuple[int, int]:
     return before, total - before
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Tensor:
-    """Stride-1 cross-correlation of an NHWC batch with an HWIO kernel."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be NHWC, got {x.ndim} axes")
-    if kernel.ndim != 4:
-        raise ShapeError(f"conv2d kernel must be (kh, kw, c_in, c_out), got {kernel.ndim} axes")
-    n, h, w, c_in = x.shape
-    kh, kw, kc_in, c_out = kernel.shape
-    if kh < 1 or kw < 1:
-        raise ShapeError(f"kernel spatial size must be >= 1, got {kh}x{kw}")
-    if kc_in != c_in:
-        raise ShapeError(f"channel axis mismatch: input has {c_in} channels (axis 3), "
-                         f"kernel expects {kc_in} (axis 2)")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"bias axis 0 must equal c_out={c_out}, got shape {bias.shape}")
-    if padding == "same":
-        (pt, pb), (pl, pr) = _pad_amounts(kh), _pad_amounts(kw)
-    elif padding == "valid":
-        pt = pb = pl = pr = 0
-        if h < kh or w < kw:
-            raise ShapeError(f"valid conv needs input >= kernel: {h}x{w} vs {kh}x{kw}")
-    else:
-        raise ConfigurationError(f"unknown padding mode: {padding!r}")
+class _Im2col:
+    """A stride-1 conv of the NHWC array x by an HWIO kernel, its arguments
+    checked, as a GEMM of im2col columns by the kernel, one block of images
+    at a time. A block takes COLS_BLOCK_FLOATS of columns, and of output
+    rows too with `rows_in_block`, but at least SPLIT_MIN_WORK
+    multiply-adds, above OpenBLAS's small-matrix bound."""
 
-    ho, wo = h + pt + pb - kh + 1, w + pl + pr - kw + 1
-    pixels, depth = ho * wo, kh * kw * c_in
-    xd = x.data
+    def __init__(self, x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, padding: str,
+                 rows_in_block: bool = False):
+        if x.ndim != 4:
+            raise ShapeError(f"conv2d input must be NHWC, got {x.ndim} axes")
+        if kernel.ndim != 4:
+            raise ShapeError(f"conv2d kernel must be (kh, kw, c_in, c_out), got {kernel.ndim} axes")
+        n, h, w, c_in = x.shape
+        kh, kw, kc_in, c_out = kernel.shape
+        if kh < 1 or kw < 1:
+            raise ShapeError(f"kernel spatial size must be >= 1, got {kh}x{kw}")
+        if kc_in != c_in:
+            raise ShapeError(f"channel axis mismatch: input has {c_in} channels (axis 3), "
+                             f"kernel expects {kc_in} (axis 2)")
+        if bias.shape != (c_out,):
+            raise ShapeError(f"bias axis 0 must equal c_out={c_out}, got shape {bias.shape}")
+        if padding == "same":
+            (pt, pb), (pl, pr) = _pad_amounts(kh), _pad_amounts(kw)
+        elif padding == "valid":
+            pt = pb = pl = pr = 0
+            if h < kh or w < kw:
+                raise ShapeError(f"valid conv needs input >= kernel: {h}x{w} vs {kh}x{kw}")
+        else:
+            raise ConfigurationError(f"unknown padding mode: {padding!r}")
+        self.x, self.bias, self.window = x, bias, (kh, kw)
+        self.pads = ((0, 0), (pt, pb), (pl, pr), (0, 0))
+        self.padded, self.crop = (h + pt + pb, w + pl + pr, c_in), np.s_[:, pt:pt + h, pl:pl + w]
+        self.shape = (n, h + pt + pb - kh + 1, w + pl + pr - kw + 1, c_out)
+        self.pixels, self.depth = self.shape[1] * self.shape[2], kh * kw * c_in
+        self.wmat = kernel.reshape(self.depth, c_out)
+        self.work = self.pixels * self.depth * c_out    # multiply-adds an image
+        floats = self.pixels * (self.depth + rows_in_block * c_out)
+        self.per_block = max(COLS_BLOCK_FLOATS // max(floats, 1),
+                             -(-SPLIT_MIN_WORK // max(self.work, 1)))
 
-    def im2col(lo, hi):
-        # the columns of images lo..hi: rows are output pixels, columns run
-        # (i, j, c_in); the reshape of the strided window view of the padded
-        # input is the one copy
-        xp = np.pad(xd[lo:hi], ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        return (np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-                .transpose(0, 1, 2, 4, 5, 3)
-                .reshape((hi - lo) * pixels, depth))
+    def columns(self, lo: int, hi: int, scratch=None) -> np.ndarray:
+        """The columns of images lo..hi: rows are output pixels, columns run
+        (i, j, c_in). With `scratch`, the padded input and the columns are
+        built at the start of its first two buffers."""
+        if scratch is None:
+            xp = np.pad(self.x[lo:hi], self.pads)
+        else:
+            xp = scratch[0][:hi - lo]
+            xp[self.crop] = self.x[lo:hi]
+        view = (np.lib.stride_tricks.sliding_window_view(xp, self.window, axis=(1, 2))
+                .transpose(0, 1, 2, 4, 5, 3))
+        if scratch is None:
+            return view.reshape((hi - lo) * self.pixels, self.depth)    # the one copy
+        cols = scratch[1][:(hi - lo) * self.pixels]
+        np.copyto(cols.reshape(view.shape), view)
+        return cols
 
-    # images per block: COLS_BLOCK_FLOATS of columns, but at least
-    # SPLIT_MIN_WORK multiply-adds, above OpenBLAS's small-matrix bound
-    per_block = max(COLS_BLOCK_FLOATS // max(pixels * depth, 1),
-                    -(-SPLIT_MIN_WORK // max(pixels * depth * c_out, 1)))
-
-    def blocks(lo, hi):
+    def blocks(self, lo: int, hi: int):
         # near-equal blocks of the images lo..hi, none below per_block; a
         # range under 2 * per_block is one block
-        count = max((hi - lo) // per_block, 1)
+        count = max((hi - lo) // self.per_block, 1)
         edges = [lo + (hi - lo) * k // count for k in range(count + 1)]
         return zip(edges, edges[1:])
 
-    wmat = kernel.data.reshape(depth, c_out)
+    def scratch(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Buffers for the largest block of the images lo..hi: its zeroed
+        padded input, its columns and its output rows."""
+        m = max(b - a for a, b in self.blocks(lo, hi))
+        return (np.zeros((m,) + self.padded), np.empty((m * self.pixels, self.depth)),
+                np.empty((m * self.pixels, self.shape[3])))
+
+    def forward(self, lo: int, hi: int, out=None, scratch=None, tail=None) -> None:
+        """The output rows of the images lo..hi, one block (a, b) at a time:
+        into the rows of `out`, the whole output, that hold images a..b, or
+        into the start of `scratch` (`scratch(lo, hi)`), followed by
+        tail(a, b, rows)."""
+        p = self.pixels
+        for a, b in self.blocks(lo, hi):
+            rows = out[a * p:b * p] if scratch is None else scratch[2][:(b - a) * p]
+            np.matmul(self.columns(a, b, scratch), self.wmat, out=rows)
+            rows += self.bias
+            if tail is not None:
+                tail(a, b, rows)
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Tensor:
+    """Stride-1 cross-correlation of an NHWC batch with an HWIO kernel."""
+    conv = _Im2col(x.data, kernel.data, bias.data, padding)
+    n, h, w, c_in = x.shape
+    kh, kw, _, c_out = kernel.shape
+    _, ho, wo, _ = conv.shape
+    (pt, _), (pl, _) = conv.pads[1:3]
+    pixels, wmat, xd = conv.pixels, conv.wmat, x.data
     y = np.empty((n * pixels, c_out))
-
-    def forward(lo, hi):
-        # each block's padded input and columns die with its GEMM
-        for a, b in blocks(lo, hi):
-            rows = y[a * pixels:b * pixels]
-            np.matmul(im2col(a, b), wmat, out=rows)
-            rows += bias.data
-
-    split_rows(n, pixels * depth * c_out, forward)
+    # each block's padded input and columns die with its GEMM
+    split_rows(n, conv.work, lambda lo, hi: conv.forward(lo, hi, out=y))
     y = y.reshape(n, ho, wo, c_out)
 
     out = Tensor.result(y, "conv2d", (x, kernel, bias))
@@ -155,11 +192,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
                     # one GEMM over the whole columns: an offset's product
                     # would be a GEMV (c_in = 1) or below OpenBLAS's
                     # small-matrix bound, and round otherwise
-                    return (im2col(0, n).T @ g2).reshape(kh, kw, c_in, c_out)
+                    return (conv.columns(0, n).T @ g2).reshape(kh, kw, c_in, c_out)
                 # one GEMM per kernel offset (i, j) over the padded input's
                 # shifted window: the rows (i, j, :) of the whole columns'
                 # GEMM with their bits, and one window's copy at a time
-                xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+                xp = np.pad(xd, conv.pads)
                 dk = np.empty((kh, kw, c_in, c_out))
                 for i in range(kh):
                     for j in range(kw):
@@ -168,7 +205,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: str = "same") -> Te
 
             def input_grad():
                 dx = np.zeros(xd.shape)
-                for a, b in blocks(0, n):
+                for a, b in conv.blocks(0, n):
                     dcols = np.matmul(g2[a * pixels:b * pixels], wmat.T).reshape(
                         b - a, ho, wo, kh, kw, c_in)
                     # col2im into the unpadded dx: offset (i, j) covers padded
@@ -202,7 +239,7 @@ def maxpool2d(x: Tensor) -> Tensor:
     a window is dropped. Gradient routes to the first maximum in each window
     (row-major scan), which keeps replays deterministic under ties; a NaN
     window's max is NaN and gets no gradient."""
-    n, h, w, c = _pool_shape(x)
+    n, h, w, c = _pool_shape(x.shape)
     xd = x.data
     # the output is filled below, once it is known whether backward can run
     out = Tensor.result(np.empty((n, h // 2, w // 2, c)), "maxpool2d", (x,))
@@ -224,11 +261,11 @@ def maxpool2d(x: Tensor) -> Tensor:
     return out
 
 
-def _pool_shape(x: Tensor) -> tuple[int, int, int, int]:
-    """x's NHWC shape, checked for 2x2 pooling."""
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2d input must be NHWC, got {x.ndim} axes")
-    n, h, w, c = x.shape
+def _pool_shape(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """An NHWC shape, checked for 2x2 pooling."""
+    if len(shape) != 4:
+        raise ShapeError(f"maxpool2d input must be NHWC, got {len(shape)} axes")
+    n, h, w, c = shape
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2d needs spatial size >= 2, got {h}x{w}")
     return n, h, w, c
@@ -525,21 +562,10 @@ class BatchNorm(Module):
 
 
 def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
-    """`maxpool2d(bn(x, train).relu())`, the tail of a conv block, on one of
-    two paths.
-
-    Eval mode with no graph recorded pools x first where every gamma is
-    >= 0, then normalizes and rectifies the pooled map: eval BN then ReLU is
-    a chain of correctly rounded steps, each non-decreasing per channel
-    (constant where gamma == 0), so the window max commutes with it. The
-    features keep every byte of the BN -> ReLU -> pool order but the sign of
-    a zero, which can differ only where a BN beta is exactly -0.0; Adam
-    never makes one from the +0.0 init.
-
-    Any other call (train mode, a recorded graph, or a gamma < 0) is one
+    """`maxpool2d(bn(x, train).relu())`, the tail of a conv block, as one
     graph node with parents (x, gamma, beta) and the bytes of
-    `maxpool2d(bn(x, train)).relu()`, its output, the running buffers and
-    every gradient: max commutes with ReLU, so the values are those of the
+    `maxpool2d(bn(x, train)).relu()`: its output, the running buffers and
+    every gradient. Max commutes with ReLU, so the values are those of the
     BN -> ReLU -> pool order. The gradient, masked by the ReLU, takes
     `maxpool2d`'s route to the first maximum of the BN output; a zero's sign
     there can reach only zeros of the gradients, which `accumulate_grad`
@@ -548,11 +574,7 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
     offset of each first maximum as a uint8, and its output.
     """
     gamma, beta = bn.gamma, bn.beta
-    if not (train or grad_enabled() or (gamma.data < 0).any()):
-        # `pooled` outlives the ReLU: freeing it first raised cluster_eval's peak RSS 14 MB
-        pooled = maxpool2d(x)
-        return bn(pooled, False).relu()
-    n, h, w, c = _pool_shape(x)
+    n, h, w, c = _pool_shape(x.shape)
     xd = x.data
     y, mu, inv_std = _bn_forward(xd, gamma.data, beta.data, bn.running_mean,
                                  bn.running_var, train)
@@ -581,3 +603,44 @@ def bn_relu_pool(x: Tensor, bn: BatchNorm, train: bool) -> Tensor:
             _bn_backward(x, gamma, beta, gy, mu, inv_std, train, gy)
         out._backward = bwd
     return out
+
+
+def eval_conv_block(x: Tensor, conv: Conv2d, bn: BatchNorm) -> Tensor:
+    """`bn_relu_pool(conv(x), bn, False)` recording no graph, with no
+    full-size conv output: each block of images (its columns and conv rows
+    in COLS_BLOCK_FLOATS) goes from its conv rows straight to its rows of
+    the output, in scratch the caller allocates for each thread before the
+    split. Where every gamma is >= 0, a block pools, then normalizes and
+    rectifies the pooled map: eval BN then ReLU is a chain of correctly
+    rounded steps, each non-decreasing per channel (constant where
+    gamma == 0), so the window max commutes with it, and the features keep
+    every byte of the BN -> ReLU -> pool order but the sign of a zero, which
+    can differ only where a BN beta is exactly -0.0; Adam never makes one
+    from the +0.0 init. Otherwise a block runs BN, pool, then ReLU.
+    """
+    im = _Im2col(x.data, conv.kernel.data, conv.bias.data, conv.padding, rows_in_block=True)
+    n, ho, wo, c = _pool_shape(im.shape)
+    gamma, beta = bn.gamma.data, bn.beta.data
+    mu, inv_std = bn.running_mean, 1.0 / np.sqrt(bn.running_var + BN_EPS)
+    pool_first = not (gamma < 0).any()
+    out = np.empty((n, ho // 2, wo // 2, c))
+
+    def bn_eval(a):
+        # `_bn_forward`'s eval steps, in place
+        np.subtract(a, mu, out=a)
+        a *= inv_std
+        a *= gamma
+        a += beta
+
+    def tail(a, b, rows):
+        y, o = rows.reshape(b - a, ho, wo, c), out[a:b]
+        if not pool_first:
+            bn_eval(y)
+        _pool(y, o, None)
+        if pool_first:
+            bn_eval(o)
+        np.maximum(o, 0.0, out=o)
+
+    scratch = {lo: im.scratch(lo, hi) for lo, hi in row_halves(n, im.work)}
+    split_rows(n, im.work, lambda lo, hi: im.forward(lo, hi, scratch=scratch[lo], tail=tail))
+    return Tensor(out)

@@ -42,7 +42,10 @@ thread takes over from the last once it has exited. In one shared heap,
 where a block landed followed the two threads' timing, and a training run's
 peak RSS moved by up to 55 MB from one run to the next. A 64 MiB top pad
 keeps a side heap that empties mapped, as the trim threshold keeps the
-caller's.
+caller's. Graph-free evaluation keeps its conv blocks' scratch off the
+side heap: the caller allocates both threads' scratch before the split
+(`nn.eval_conv_block`). With the side thread allocating its half,
+`cluster_eval`'s peak RSS read 322 MB instead of 287 MB.
 One-off blocks above 256 MiB, such as a full corpus, are still mapped and
 returned.
 With a libc other than glibc nothing changes.
@@ -78,8 +81,7 @@ def _keep_freed_memory() -> None:
     # above every per-step array: conv2d builds its columns in blocks of
     # about 8 MiB or one kernel offset at a time, so the largest are
     # activations and gradients, such as block1/conv's output (49 MiB at
-    # training batch 128, 98 MiB at evaluation batch 256) and the gradient
-    # of fc/dense's weight (54 MiB)
+    # training batch 128) and the gradient of fc/dense's weight (54 MiB)
     mallopt(_M_MMAP_THRESHOLD, 256 << 20)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
     mallopt(_M_TOP_PAD, 64 << 20)
@@ -174,18 +176,27 @@ SPLIT_MIN_WORK = 1 << 24
 SPLIT_MIN_FLOATS = 1 << 17
 
 
-def split_rows(n: int, row_work: int, run: Callable[[int, int], None],
-               elementwise: bool = False) -> None:
-    """run(lo, hi) over the rows [0, n): as run(n // 2, n) on the side thread
-    beside run(0, n // 2) here when the smaller half's work, n // 2 * row_work,
-    reaches its bound, else as run(0, n). A GEMM row's work is its K*N
-    multiply-adds, bound by `SPLIT_MIN_WORK`; with `elementwise` it is the
-    floats a per-image pass reads per row, bound by `SPLIT_MIN_FLOATS`."""
+def row_halves(n: int, row_work: int, elementwise: bool = False) -> list[tuple[int, int]]:
+    """The row ranges of `split_rows`: [(0, n // 2), (n // 2, n)] when the
+    smaller half's work, n // 2 * row_work, reaches its bound, else [(0, n)].
+    A GEMM row's work is its K*N multiply-adds, bound by `SPLIT_MIN_WORK`;
+    with `elementwise` it is the floats a per-image pass reads per row, bound
+    by `SPLIT_MIN_FLOATS`."""
     h = n // 2
     if h * row_work < (SPLIT_MIN_FLOATS if elementwise else SPLIT_MIN_WORK):
+        return [(0, n)]
+    return [(0, h), (h, n)]
+
+
+def split_rows(n: int, row_work: int, run: Callable[[int, int], None],
+               elementwise: bool = False) -> None:
+    """run(lo, hi) over each range of `row_halves`, the second on the side
+    thread beside the first here."""
+    halves = row_halves(n, row_work, elementwise)
+    if len(halves) == 1:
         run(0, n)
     else:
-        both(lambda: run(h, n), lambda: run(0, h))
+        both(lambda: run(*halves[1]), lambda: run(*halves[0]))
 
 
 _grad_enabled = True

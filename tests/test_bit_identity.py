@@ -2,6 +2,7 @@
 `reference_ops`: every output, gradient and buffer must carry the same bits."""
 
 import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -390,13 +391,13 @@ class TestForwardSplit:
         test_dac.TestEvalPoolsFirst.perturbed(model, count)
         got, want, n_split, n_whole = split_and_whole(
             monkeypatch, side_calls, lambda: predict_features(model, images))
-        # per batch, the GEMMs: three trunk convs and fc, plus st2's
-        # loc/dense1. The per-image passes: in each conv block (a gamma < 0
-        # makes it one `bn_relu_pool` node) its BN, its pool and ReLU, and
-        # its pool BN, then fc's BN and ReLU, 11 in all; and st1's second
-        # localization pool (10x10x20) in the batch of 256 only, since a half
-        # of 64 images holds 128000 floats, below SPLIT_MIN_FLOATS
-        assert n_split == 2 * (4 + (count >= 2)) + 2 * 11 + 1 and n_whole == 0
+        # per batch, the GEMMs: three trunk convs, each with its BN, pool
+        # and ReLU per image block (`nn.eval_conv_block`), and fc, plus
+        # st2's loc/dense1. The per-image passes: each conv block's pool BN,
+        # then fc's BN and ReLU, 5 in all; and st1's second localization
+        # pool (10x10x20) in the batch of 256 only, since a half of 64
+        # images holds 128000 floats, below SPLIT_MIN_FLOATS
+        assert n_split == 2 * (4 + (count >= 2)) + 2 * 5 + 1 and n_whole == 0
         assert_same_bits(got, want)
 
 
@@ -459,6 +460,93 @@ class TestConvBlocks:
         # two forward halves of 64 images, then one input gradient of 128
         assert sorted(rows // 784 for rows, _ in gemms[:2]) == [64, 64]
         assert [(rows // 784, t) for rows, t in gemms[2:]] == [(128, threading.get_ident())]
+
+
+BLOCKS = [pytest.param((28, 28, 1), 64, 38, id="block1"),
+          pytest.param((14, 14, 64), 128, 7, id="block2"),
+          pytest.param((7, 7, 128), 256, 15, id="block3")]
+
+
+class TestEvalConvBlock:
+    """`nn.eval_conv_block` against the graph-recording
+    `bn_relu_pool(conv2d(x), bn, False)`: the same bytes with gammas >= 0
+    (pool first) and with mixed-sign gammas (BN first), at batch sizes that
+    cut its image blocks unevenly or fall at their edges (block1 takes at
+    least 38 images a block, block2 7 and block3 15)."""
+
+    @staticmethod
+    def block(x_shape, c_out, rng):
+        conv, bn = nn.Conv2d(3, 3, x_shape[-1], c_out, "conv", seed=1), nn.BatchNorm(c_out, "bn")
+        conv.bias.data[:] = rng.normal(scale=0.1, size=c_out)
+        bn.beta.data[:] = rng.normal(scale=0.1, size=c_out)
+        bn.running_mean[:] = rng.normal(scale=0.1, size=c_out)
+        bn.running_var[:] = rng.random(c_out) + 0.5
+        return conv, bn
+
+    @staticmethod
+    def assert_graph_bytes(x, conv, bn, rng):
+        c_out = bn.gamma.shape[0]
+        y = conv(x)
+        for gamma in (rng.random(c_out), rng.normal(size=c_out)):
+            gamma[::5] = 0.0
+            bn.gamma.data[:] = gamma
+            want = nn.bn_relu_pool(y, bn, False)
+            assert want.requires_grad
+            with no_grad():
+                got = nn.eval_conv_block(x, conv, bn).data
+            assert_same_bits(got, want.data)
+        assert (gamma < 0).any()
+
+    @pytest.mark.parametrize("batch", [1, 37, 38, 39, 77, 129, 256, 385])
+    @pytest.mark.parametrize("x_shape, c_out, per_block", BLOCKS)
+    def test_same_bytes_as_the_graph_node(self, batch, x_shape, c_out, per_block, rng):
+        conv, bn = self.block(x_shape, c_out, rng)
+        self.assert_graph_bytes(Tensor(rng.normal(size=(batch,) + x_shape)), conv, bn, rng)
+
+    @pytest.mark.parametrize("x_shape, c_out, per_block", BLOCKS)
+    def test_ties_and_zeros(self, x_shape, c_out, per_block, rng):
+        # integer inputs, kernel and bias: many pool windows tie, and many
+        # BN outputs rectify to zero
+        conv, bn = self.block(x_shape, c_out, rng)
+        conv.kernel.data[:] = rng.integers(-1, 2, size=conv.kernel.shape)
+        conv.bias.data[:] = rng.integers(-1, 2, size=c_out)
+        x = Tensor(rng.integers(-1, 2, size=(77,) + x_shape) * 1.0)
+        self.assert_graph_bytes(x, conv, bn, rng)
+
+    @pytest.mark.parametrize("x_shape, c_out, per_block", BLOCKS)
+    def test_blocks(self, x_shape, c_out, per_block, monkeypatch, rng):
+        seen, matmul = [], np.matmul
+
+        def recording(a, b, **kwargs):
+            seen.append((len(a), threading.get_ident()))
+            return matmul(a, b, **kwargs)
+        x = Tensor(rng.normal(size=(256,) + x_shape))
+        conv, bn = self.block(x_shape, c_out, rng)
+        monkeypatch.setattr(np, "matmul", recording)
+        with no_grad():
+            nn.eval_conv_block(x, conv, bn)
+        pixels = x_shape[0] * x_shape[1]
+        # each thread's blocks add up to its half of 128 images, none below
+        # per_block
+        for ident in {t for _, t in seen}:
+            images = [rows // pixels for rows, t in seen if t == ident]
+            assert sum(images) == 128 and len(images) == 128 // per_block
+            assert all(per_block <= n < 2 * per_block for n in images)
+        assert len({t for _, t in seen}) == 2
+
+    def test_block1_peak_is_its_output_and_scratch(self, rng):
+        x = Tensor(rng.normal(size=(256, 28, 28, 1)))
+        conv, bn = self.block((28, 28, 1), 64, rng)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = nn.eval_conv_block(x, conv, bn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no array the size of the conv output (98 MiB): the pooled output
+        # (24.5 MiB) and each thread's scratch for one block of 43 images
+        assert peak < out.data.nbytes + (40 << 20), peak
 
 
 def splits(batch, row):

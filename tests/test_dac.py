@@ -90,6 +90,16 @@ class TestBackbone:
         chunked = predict_features(model, x, batch_size=2)
         np.testing.assert_allclose(chunked, direct, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch_size", [0, -1, -256])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # a negative size once returned the rows of an uninitialized array
+        model = Backbone(BackboneConfig(st_layer_count=0, cluster_count=4), seed=1)
+        data = make_synthetic_glyphs(4, seed=1, classes=4)
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            predict_features(model, data.images, batch_size)
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            evaluate(model, data.images, data.labels, batch_size)
+
 
 class TestEvalPoolsFirst:
     """`predict_features` pools each conv block before its BN and ReLU; the
@@ -125,25 +135,20 @@ class TestEvalPoolsFirst:
         assert np.isfinite(got).all()
         assert got.tobytes() == want.tobytes()
 
-    def test_a_negative_gamma_keeps_its_block_in_the_graph_order(self, monkeypatch):
+    def test_a_negative_gamma_keeps_its_block_in_the_graph_order(self):
         model = Backbone(BackboneConfig(st_layer_count=1, cluster_count=4), seed=4)
         model.bn2.gamma.data[7] = -0.5
-        seen = []
-        for name in ("batch_norm", "maxpool2d"):
-            def recording(x, *args, op=getattr(nn, name), name=name):
-                seen.append((name, x.shape))
-                return op(x, *args)
-            monkeypatch.setattr(nn, name, recording)
-        predict_features(model, make_synthetic_glyphs(3, seed=1, classes=4).images)
-        # st1's two pools; block1 pools its conv output first, then bn1 and
-        # bnp1; block2 is one node that calls neither, so its conv output is
-        # never pooled first, and bnp2 reads the node's output; block3 as
-        # block1; then fc_bn and head_bn
-        assert seen[:9] == [("maxpool2d", (3, 28, 28, 1)), ("maxpool2d", (3, 10, 10, 20)),
-                            ("maxpool2d", (3, 28, 28, 64)), ("batch_norm", (3, 14, 14, 64)),
-                            ("batch_norm", (3, 14, 14, 64)), ("batch_norm", (3, 7, 7, 128)),
-                            ("maxpool2d", (3, 7, 7, 256)), ("batch_norm", (3, 3, 3, 256)),
-                            ("batch_norm", (3, 3, 3, 256))]
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 14, 14, 64)))
+        graph = nn.bn_relu_pool(model.conv2(x), model.bn2, False).data
+        with no_grad():
+            got = nn.eval_conv_block(x, model.conv2, model.bn2).data
+            pooled_first = model.bn2(nn.maxpool2d(model.conv2(x)), False).relu().data
+        assert got.tobytes() == graph.tobytes()
+        # pooling first keeps channel 7's window max where the graph order
+        # keeps its min; the other channels have gamma = 1 and agree
+        assert (pooled_first[..., 7] != got[..., 7]).any()
+        others = np.arange(128) != 7
+        assert pooled_first[..., others].tobytes() == got[..., others].tobytes()
 
 
 class TestPairwiseSimilarity:

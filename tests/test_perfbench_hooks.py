@@ -58,10 +58,11 @@ def test_tracer_sees_the_eval_ops(monkeypatch):
     model = dac.Backbone(dac.BackboneConfig(st_layer_count=1, cluster_count=4), seed=1)
     with tracer.Tracer() as t:
         dac.evaluate(model, data.images, data.labels)
-    # eight BNs; three backbone pools plus the locnet's two
-    assert t.calls["nn.batch_norm.fwd"] == 8
-    assert t.calls["nn.maxpool2d.fwd"] == 5
+    # the three pool BNs and the two dense BNs, and the locnet's two convs
+    # and two pools: each conv block's conv, BN, pool and ReLU run inside
+    # `nn.eval_conv_block`, which has no span
+    assert t.calls["nn.batch_norm.fwd"] == 5
+    assert t.calls["nn.conv2d.fwd"] == 2 and t.calls["nn.maxpool2d.fwd"] == 2
     assert t.self_s["nn.batch_norm.fwd"] > 0.0 and t.self_s["nn.maxpool2d.fwd"] > 0.0
-    # each conv block's BN reads the pooled map, as its pool BN does
-    pooled = 2 * (14 * 14 * 64 + 7 * 7 * 128 + 3 * 3 * 256) + 3096 + 4
+    pooled = 14 * 14 * 64 + 7 * 7 * 128 + 3 * 3 * 256 + 3096 + 4
     assert t.counts["nn.batch_norm.bytes"] == 16 * 6 * pooled
